@@ -93,7 +93,7 @@ pub(super) fn reduce_redex(e: &CoreExpr) -> Option<CoreExpr> {
 // `Case` binder):
 //
 // 1. `refresh_binders` renames EVERY term binder of the body — the λ
-//    chain itself included — to a globally fresh name before anything
+//    chain itself included — to a fresh name before anything
 //    else happens. The λ binders that become `pending` let binders are
 //    therefore fresh and can never collide with a call-site variable
 //    free in a later argument's right-hand side, nor with any `Case`

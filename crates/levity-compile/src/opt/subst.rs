@@ -2,8 +2,8 @@
 //!
 //! Every optimizer pass that moves code into a new scope funnels through
 //! [`substitute`], which renames **every** term binder it walks under to
-//! a globally fresh name (via [`levity_ir::freshen`]). Freshening
-//! everything is mildly wasteful but makes capture impossible by
+//! a name fresh in the whole compilation (via [`levity_ir::freshen`]).
+//! Freshening everything is mildly wasteful but makes capture impossible by
 //! construction: an inlined body's binders can never collide with the
 //! call site's free variables, and a case alternative's binders can
 //! never shadow a field expression being pushed inward. Binder names do

@@ -22,8 +22,19 @@ use std::sync::{Mutex, OnceLock};
 /// An interned string.
 ///
 /// Two symbols are equal exactly when the strings they intern are equal.
-/// Symbols are cheap to copy, compare and hash.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Symbols are cheap to copy, compare for equality and hash.
+///
+/// They are deliberately *not* ordered: the intern index depends on
+/// which thread interned a name first, so an order on it would leak
+/// thread interleaving into compiler output. Sort by [`Symbol::as_str`]
+/// instead.
+///
+/// ```compile_fail
+/// use levity_core::symbol::Symbol;
+///
+/// let _ = Symbol::intern("a") < Symbol::intern("b");
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
 struct Interner {
@@ -233,14 +244,5 @@ mod tests {
         let a: Symbol = "abc".into();
         let b: Symbol = String::from("abc").into();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ordering_is_stable_per_symbol() {
-        let a = Symbol::intern("stable-a");
-        let b = Symbol::intern("stable-b");
-        // Ordering is by intern index, not lexicographic; it only needs to be
-        // a strict total order usable for map keys.
-        assert!(a < b || b < a);
     }
 }

@@ -33,7 +33,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use levity_core::symbol::Symbol;
 
@@ -50,11 +50,28 @@ pub use terms::{
 pub use typecheck::{check_program, kind_of, type_of, CoreError, Scope, ScopeEntry, TypeEnv};
 pub use types::{TyCon, Type};
 
-static FRESH: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's [`freshen`] counter.
+    static FRESH: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A fresh symbol derived from `base`, for capture-avoiding substitution.
+///
+/// Names are fresh within one compilation: the counter is per thread,
+/// and [`restart_fresh_names`] resets it. The interner never frees a
+/// name, so a process-wide counter would intern hundreds of new names
+/// for every program a server compiles.
 pub fn freshen(base: Symbol) -> Symbol {
-    let n = FRESH.fetch_add(1, Ordering::Relaxed);
+    let n = FRESH.with(|c| c.replace(c.get() + 1));
     let stem = base.as_str().split('\'').next().unwrap_or("v");
     Symbol::intern(&format!("{stem}'{n}"))
+}
+
+/// Restarts this thread's [`freshen`] counter at zero.
+///
+/// Names handed out before the restart are handed out again, so no Core
+/// term built on this thread before it may be transformed after it. The
+/// driver restarts once per compilation, before parsing the source.
+pub fn restart_fresh_names() {
+    FRESH.with(|c| c.set(0));
 }

@@ -194,8 +194,8 @@ pub enum Instr {
     /// Unconditional branch.
     Goto(u32),
     /// Join-point jump with buffered argument transfer: resolve every
-    /// argument (in order), width-check against the parameters (in
-    /// order), write the parameter slots, branch. The hazard-free
+    /// argument (in order), write the parameter slots (in order; the
+    /// verifier matched their classes statically), branch. The hazard-free
     /// common case compiles to bare moves + `GotoJ` with no arguments.
     GotoJ {
         /// Branch target (the join body's offset).

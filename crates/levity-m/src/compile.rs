@@ -165,8 +165,10 @@ impl CodeProgram {
     /// first, then each body is compiled against the full table.
     pub fn compile(globals: &Globals) -> CodeProgram {
         let mut entries: Vec<(Symbol, &Arc<MExpr>)> = globals.iter().collect();
-        // Deterministic id assignment (HashMap iteration order is not).
-        entries.sort_by_key(|(name, _)| *name);
+        // Deterministic id assignment: by name *string*. HashMap
+        // iteration order is arbitrary, and intern indexes depend on
+        // which thread interned a name first.
+        entries.sort_by_cached_key(|(name, _)| name.as_str());
         let mut program = CodeProgram::default();
         for (ix, (name, _)) in entries.iter().enumerate() {
             program.ids.insert(*name, GlobalId(ix as u32));

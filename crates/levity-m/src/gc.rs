@@ -21,72 +21,21 @@
 //!
 //! Roots are gathered by [`crate::regmachine::BcMachine`] at its
 //! allocation sites: the per-frame pointer windows (looked up in the
-//! retained verifier maps, not re-derived), pending `Upd`/`Arg` frames,
-//! and the accumulator. Programs whose code embeds an immediate heap
-//! address (`PSrc::K`) are never collected — the instruction stream
-//! cannot be forwarded — which simply preserves the pre-GC behaviour
-//! for them.
+//! heights the verified entry retained, never re-derived), pending
+//! `Upd`/`Arg` frames, and the accumulator. The verifier rejects
+//! immediate heap-address operands, so every heap reference a run holds
+//! is one of these roots and every run can collect.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use crate::machine::MachineError;
 use crate::regmachine::{BCell, BFrame, BValue};
 use crate::syntax::{Addr, Atom};
-use crate::verify::{ChunkMap, Heights};
 
 /// Default nursery size, in heap cells: the collection trigger used
-/// when neither [`crate::regmachine::BcMachine::set_gc_nursery`] nor
-/// the `LEVITY_GC_NURSERY` environment variable overrides it.
+/// unless [`crate::regmachine::BcMachine::set_gc_nursery`] overrides
+/// it.
 pub const DEFAULT_NURSERY_CELLS: usize = 1 << 16;
-
-/// The process-wide nursery default: `LEVITY_GC_NURSERY` (cells,
-/// positive) if set and parseable, else [`DEFAULT_NURSERY_CELLS`].
-/// Read once — the knob exists so CI can force tiny nurseries across a
-/// whole differential run.
-pub(crate) fn default_nursery_cells() -> usize {
-    static NURSERY: OnceLock<usize> = OnceLock::new();
-    *NURSERY.get_or_init(|| {
-        std::env::var("LEVITY_GC_NURSERY")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_NURSERY_CELLS)
-    })
-}
-
-/// The safepoint pointer maps for one (program, entry) pair: per-chunk
-/// per-pc heights retained from verification (or re-derived lazily for
-/// checked runs). Entry chunk ids continue the program's id space at
-/// `base`.
-#[derive(Clone, Debug)]
-pub(crate) struct PtrMaps {
-    base: usize,
-    program: Arc<[ChunkMap]>,
-    entry: Arc<[ChunkMap]>,
-}
-
-impl PtrMaps {
-    pub(crate) fn new(base: usize, program: Arc<[ChunkMap]>, entry: Arc<[ChunkMap]>) -> PtrMaps {
-        PtrMaps {
-            base,
-            program,
-            entry,
-        }
-    }
-
-    /// The provable heights at `pc` of chunk `chunk`, or `None` if
-    /// either index is unknown to the maps.
-    pub(crate) fn heights(&self, chunk: u32, pc: usize) -> Option<Heights> {
-        let ix = chunk as usize;
-        let map = if ix < self.base {
-            self.program.get(ix)
-        } else {
-            self.entry.get(ix - self.base)
-        }?;
-        map.get(pc).copied()
-    }
-}
 
 /// What one collection accomplished.
 #[derive(Debug)]
@@ -248,7 +197,9 @@ mod tests {
     use super::*;
     use levity_core::rep::Slot;
 
+    use crate::bytecode::{BcEntry, BcProgram, Chunk, Instr, WSrc};
     use crate::syntax::{DataCon, Literal};
+    use crate::verify::verify;
 
     fn lit(n: i64) -> BCell {
         BCell::Value(BValue::Lit(Literal::Int(n)))
@@ -341,12 +292,41 @@ mod tests {
 
     #[test]
     fn height_lookup_spans_program_and_entry_id_spaces() {
-        let prog_map: ChunkMap = vec![[1, 0, 0, 0], [2, 1, 0, 0]].into();
-        let entry_map: ChunkMap = vec![[3, 0, 0, 0]].into();
-        let maps = PtrMaps::new(1, [prog_map].into(), [entry_map].into());
-        assert_eq!(maps.heights(0, 1), Some([2, 1, 0, 0]));
-        assert_eq!(maps.heights(1, 0), Some([3, 0, 0, 0]));
-        assert_eq!(maps.heights(0, 2), None);
-        assert_eq!(maps.heights(2, 0), None);
+        // Program chunk 0 initialises one word register, entry chunk 1
+        // two: the collector's lookup must route each id to its map.
+        let words = |label: &str, n: u16| {
+            let mut code: Vec<Instr> = (0..n)
+                .map(|i| Instr::MovW {
+                    dst: i,
+                    src: WSrc::K(Literal::Int(0)),
+                })
+                .collect();
+            code.push(Instr::RetW(WSrc::R(n - 1)));
+            Arc::new(Chunk {
+                label: label.to_owned(),
+                code: code.into(),
+                frame: [0, n, 0, 0],
+                caps: Arc::from([] as [Slot; 0]),
+                caps_counts: [0; 4],
+                params: Arc::from([] as [crate::syntax::Binder; 0]),
+                lam_body: None,
+            })
+        };
+        let program = Arc::new(BcProgram {
+            chunks: vec![words("program", 1)],
+            generic: Vec::new(),
+            fast: Vec::new(),
+            names: Vec::new(),
+        });
+        let entry = BcEntry {
+            chunks: vec![words("entry", 2)],
+            root: 1,
+        };
+        let verified = verify(&program).unwrap();
+        let ventry = verified.verify_entry(&entry).unwrap();
+        assert_eq!(ventry.heights_at(0, 1), Some([0, 1, 0, 0]));
+        assert_eq!(ventry.heights_at(1, 2), Some([0, 2, 0, 0]));
+        assert_eq!(ventry.heights_at(0, 2), None);
+        assert_eq!(ventry.heights_at(2, 0), None);
     }
 }

@@ -26,9 +26,10 @@
 //!   operand stack per §6.2 register class — unboxed hot paths run with
 //!   no tag checks at all;
 //! * [`verify`] — the static bytecode verifier: an abstract interpreter
-//!   that proves the per-class register discipline before execution, so
-//!   [`regmachine::BcMachine::run_verified`] can elide the dynamic
-//!   checks the verifier discharged;
+//!   that proves the per-class register discipline before execution. It
+//!   is the register machine's only gate: [`regmachine::BcMachine::run`]
+//!   takes a [`VerifiedEntry`], and its single dispatch loop does not
+//!   re-check what the verifier proved;
 //! * [`gc`] — the precise copying collector for the bytecode engine,
 //!   whose safepoint pointer maps are the verifier's retained per-pc
 //!   heights — representation knowledge (§6.2) making GC precise

@@ -41,6 +41,7 @@ use levity_core::symbol::{Symbol, SymbolMap};
 use crate::prim::{apply_prim, PrimError};
 use crate::subst::{subst_atom, subst_atoms};
 use crate::syntax::{int_hash_symbol, Addr, Alt, Atom, Binder, DataCon, JoinDef, Literal, MExpr};
+use crate::verify::VerifyError;
 
 /// A machine value `w` (Figure 5, extended). Constructor and multi-value
 /// fields are resolved atoms (addresses or literals), never variables.
@@ -386,10 +387,15 @@ pub enum MachineError {
     UnknownJoin(Symbol),
     /// A thunk demanded its own value (`<<loop>>`).
     Loop,
-    /// The bytecode engine fetched an instruction outside its chunk or
-    /// entered an out-of-range chunk — a malformed [`crate::bytecode`]
-    /// program (hand-built only; the compiler never emits one).
+    /// The bytecode engine was handed a verified entry for a different
+    /// program than its own, or fetched an instruction outside its
+    /// chunk or entered an out-of-range chunk — bounds the verifier
+    /// already proved, kept as structured errors rather than panics.
     BadBytecode(String),
+    /// The bytecode verifier rejected the code a run was asked to
+    /// execute, so it never started: the register machine runs only
+    /// verified code ([`crate::verify`](mod@crate::verify)).
+    Unverified(Box<VerifyError>),
 }
 
 impl fmt::Display for MachineError {
@@ -422,6 +428,7 @@ impl fmt::Display for MachineError {
             MachineError::UnknownJoin(j) => write!(f, "jump to undefined join point `{j}`"),
             MachineError::Loop => write!(f, "<<loop>>: a thunk demanded its own value"),
             MachineError::BadBytecode(msg) => write!(f, "malformed bytecode: {msg}"),
+            MachineError::Unverified(e) => write!(f, "{e}"),
         }
     }
 }
@@ -431,6 +438,12 @@ impl std::error::Error for MachineError {}
 impl From<PrimError> for MachineError {
     fn from(e: PrimError) -> MachineError {
         MachineError::Prim(e)
+    }
+}
+
+impl From<VerifyError> for MachineError {
+    fn from(e: VerifyError) -> MachineError {
+        MachineError::Unverified(Box::new(e))
     }
 }
 

@@ -24,6 +24,14 @@
 //! legitimately differ (fused superinstructions retire several tree
 //! transitions in one dispatch — counted in
 //! [`MachineStats::fused_ops`]), which is the entire point.
+//!
+//! There is one dispatch loop, and the static verifier
+//! ([`crate::verify`](mod@crate::verify)) is its only gate:
+//! [`BcMachine::run`] accepts nothing but a [`VerifiedEntry`]. The
+//! register-class and width facts the verifier proved are not
+//! re-checked at runtime, and the collector's safepoint pointer maps
+//! are the heights the verifier retained: one source of maps, and
+//! every run can collect.
 
 use std::fmt;
 use std::sync::Arc;
@@ -31,14 +39,13 @@ use std::sync::Arc;
 use levity_core::rep::Slot;
 
 use crate::bytecode::{
-    BAlt, BDefault, BcEntry, BcProgram, Chunk, DSrc, FSrc, Instr, PSrc, Src, WSrc,
+    BAlt, BDefault, BcEntry, BcProgram, Chunk, DSrc, FSrc, Instr, PSrc, Src, WSrc, SELF_CALL_BUF,
 };
 use crate::env::Env;
 use crate::machine::{check_atom_class, MachineError, MachineStats, RunOutcome, Value};
 use crate::prim::apply_prim;
 use crate::syntax::{Addr, Atom, Binder, DataCon, Literal, PrimOp};
-
-use crate::bytecode::SELF_CALL_BUF;
+use crate::verify::{VerifiedEntry, VerifiedProgram};
 
 /// A word-stack value. `Int#` and `Char#` share the word class
 /// (§6.2), and the distinction must survive the stack round-trip so
@@ -167,24 +174,10 @@ enum Popped {
     Resume(Exec, BValue),
 }
 
-/// How the collector's safepoint pointer maps get resolved for the
-/// current run. The checked path derives them lazily at the first
-/// collection (zero-allocation programs never pay); the verified path
-/// installs the maps retained by the verifier witness. Programs that
-/// embed immediate heap-address constants — which a moving collector
-/// cannot rewrite — run with GC `Off`, the pre-GC behaviour.
-#[derive(Debug)]
-enum GcMaps {
-    Unresolved,
-    Ready(crate::gc::PtrMaps),
-    Off,
-}
-
 /// The counters the dispatch loop bumps on (nearly) every step, kept
 /// in locals for the duration of a run and flushed to
-/// [`MachineStats`] once on exit — both the checked and the verified
-/// loop pay for register increments, not memory traffic, and report
-/// identical statistics by construction.
+/// [`MachineStats`] once on exit — the loop pays for register
+/// increments, not memory traffic.
 #[derive(Clone, Copy, Debug, Default)]
 struct Hot {
     steps: u64,
@@ -204,6 +197,7 @@ struct Hot {
 /// use levity_m::machine::{Globals, RunOutcome, Value};
 /// use levity_m::regmachine::BcMachine;
 /// use levity_m::syntax::{Atom, Binder, Literal, MExpr};
+/// use levity_m::verify::verify;
 ///
 /// // (λi. i) 42#
 /// let t = MExpr::app(
@@ -213,10 +207,11 @@ struct Hot {
 /// let program = CodeProgram::compile(&Globals::new());
 /// let bc = Arc::new(BcProgram::compile(&program));
 /// let entry = bc.compile_entry(&program.compile_entry(&t));
+/// let verified = verify(&bc)?;
 /// let mut machine = BcMachine::new(bc);
-/// let outcome = machine.run(&entry)?;
+/// let outcome = machine.run(&verified.verify_entry(&entry)?)?;
 /// assert_eq!(outcome, RunOutcome::Value(Value::Lit(Literal::Int(42))));
-/// # Ok::<(), levity_m::machine::MachineError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct BcMachine {
@@ -234,14 +229,11 @@ pub struct BcMachine {
     /// size at an allocation site. Doubles with the live set (never
     /// below `gc_nursery`), the classic semispace growth policy.
     gc_limit: usize,
-    /// The configured nursery floor in cells (constructor-injected or
-    /// the `LEVITY_GC_NURSERY` process default).
+    /// The configured nursery floor in cells.
     gc_nursery: usize,
     /// Live-heap cap in bytes, enforced *after* each collection —
     /// distinct from `alloc_limit`, which caps cumulative allocation.
     heap_limit: Option<u64>,
-    /// Safepoint pointer maps for the current run.
-    gc_maps: GcMaps,
     /// High-water mark per operand stack (`[ptr, word, float,
     /// double]`) — the §6.2 negative-space observable: a program with
     /// no `Double#` binders must leave `high[3] == 0`, and vice versa.
@@ -266,10 +258,9 @@ impl BcMachine {
             stats: MachineStats::default(),
             fuel: crate::machine::Machine::DEFAULT_FUEL,
             alloc_limit: u64::MAX,
-            gc_limit: crate::gc::default_nursery_cells(),
-            gc_nursery: crate::gc::default_nursery_cells(),
+            gc_limit: crate::gc::DEFAULT_NURSERY_CELLS,
+            gc_nursery: crate::gc::DEFAULT_NURSERY_CELLS,
             heap_limit: None,
-            gc_maps: GcMaps::Unresolved,
             high: [0; 4],
             top: [0; 4],
         }
@@ -288,9 +279,9 @@ impl BcMachine {
 
     /// Overrides the nursery size in cells: the heap size at which an
     /// allocation site triggers a collection. Defaults to
-    /// `LEVITY_GC_NURSERY` (or [`crate::gc::DEFAULT_NURSERY_CELLS`]).
-    /// Tiny values force frequent collections — the differential
-    /// suites use this to pin that GC is observationally invisible.
+    /// [`crate::gc::DEFAULT_NURSERY_CELLS`]. Tiny values force frequent
+    /// collections — the differential suites use this to pin that GC
+    /// is observationally invisible.
     pub fn set_gc_nursery(&mut self, cells: usize) {
         self.gc_nursery = cells.max(1);
         self.gc_limit = self.gc_nursery;
@@ -359,50 +350,37 @@ impl BcMachine {
     }
 
     /// One precise copying collection at the safepoint `(ex.chunk,
-    /// ex.pc)`. Gathers the per-frame pointer windows from the
-    /// resolved maps (lazily deriving them on the checked path), hands
-    /// all roots to [`crate::gc::collect`], then enforces the
-    /// live-heap cap and re-arms the trigger at `max(nursery, 2 ×
-    /// live)`. If maps are unavailable — unverifiable code or embedded
-    /// address constants — GC turns `Off` for the run and the heap
-    /// keeps growing, the pre-collector behaviour.
+    /// ex.pc)`. Gathers the per-frame pointer windows from the heights
+    /// the verifier retained in `entry`, hands all roots to
+    /// [`crate::gc::collect`], then enforces the live-heap cap and
+    /// re-arms the trigger at `max(nursery, 2 × live)`.
     #[cold]
     fn collect_garbage(
         &mut self,
-        entry: &BcEntry,
+        entry: &VerifiedEntry<'_>,
         ex: &Exec,
         acc: &mut BValue,
     ) -> Result<(), MachineError> {
-        if matches!(self.gc_maps, GcMaps::Unresolved) {
-            self.gc_maps = match crate::verify::pointer_maps_for(&self.program, entry) {
-                Some(maps) => GcMaps::Ready(maps),
-                None => GcMaps::Off,
-            };
-        }
-        let GcMaps::Ready(maps) = &self.gc_maps else {
-            return Ok(());
+        // Every root window is resolved *before* anything moves, so a
+        // safepoint without a map is an error, never a torn heap.
+        let window = |chunk: u32, pc: usize, base: usize| match entry.heights_at(chunk, pc) {
+            Some(h) => Ok((base, h[0] as usize)),
+            None => Err(MachineError::InvalidState(format!(
+                "gc: no pointer map at chunk {chunk} pc {pc}"
+            ))),
         };
-        // Every root window is resolved *before* anything moves, so an
-        // unknown safepoint degrades to "no GC" rather than a torn heap.
         let mut windows = Vec::with_capacity(self.stack.len() + 1);
-        let Some(h) = maps.heights(ex.chunk, ex.pc) else {
-            self.gc_maps = GcMaps::Off;
-            return Ok(());
-        };
-        windows.push((ex.bases[0], h[0] as usize));
+        windows.push(window(ex.chunk, ex.pc, ex.bases[0])?);
         for f in &self.stack {
-            let (chunk, pc, bases) = match f {
-                BFrame::Ret { chunk, pc, bases } => (*chunk, *pc, bases),
-                BFrame::RetW {
+            match f {
+                BFrame::Ret { chunk, pc, bases }
+                | BFrame::RetW {
                     chunk, pc, bases, ..
-                } => (*chunk, *pc, bases),
-                BFrame::Upd(_) | BFrame::Arg(_) => continue,
-            };
-            let Some(h) = maps.heights(chunk, pc as usize) else {
-                self.gc_maps = GcMaps::Off;
-                return Ok(());
-            };
-            windows.push((bases[0], h[0] as usize));
+                } => {
+                    windows.push(window(*chunk, *pc as usize, bases[0])?);
+                }
+                BFrame::Upd(_) | BFrame::Arg(_) => {}
+            }
         }
         let mut stack = std::mem::take(&mut self.stack);
         let result = crate::gc::collect(&mut self.heap, &mut self.ptrs, &windows, &mut stack, acc);
@@ -707,31 +685,20 @@ impl BcMachine {
         })
     }
 
-    /// Binds a field list into frame slots — one class check plus one
-    /// classed write per pair. This is the single shape behind join
-    /// arguments, `bind.multi`, fused-frame generic returns, and case
-    /// binders; arity checks stay at the call sites (their error
-    /// payloads differ). `CHECKED = false` — legal only where the
-    /// verifier proved the classes statically, i.e. the join-argument
-    /// site on the verified path — demotes the check to a debug
-    /// assertion. Sites whose fields arrive dynamically (constructor
-    /// payloads, multi-values out of the accumulator) must instantiate
-    /// `CHECKED = true` on both paths.
-    fn bind_checked<const CHECKED: bool>(
+    /// Binds a field list whose classes arrive dynamically —
+    /// constructor payloads, multi-values out of the accumulator — into
+    /// frame slots: one width check plus one classed write per pair.
+    /// This is the single shape behind `bind.multi`, fused-frame
+    /// generic returns and case binders; arity checks stay at the call
+    /// sites (their error payloads differ).
+    fn bind_fields(
         &mut self,
         bases: [usize; 4],
         binds: &[(Binder, u16)],
         fields: &[Atom],
     ) -> Result<(), MachineError> {
         for ((b, slot), a) in binds.iter().zip(fields.iter()) {
-            if CHECKED {
-                check_atom_class(*b, *a)?;
-            } else {
-                debug_assert!(
-                    check_atom_class(*b, *a).is_ok(),
-                    "verified bind wrote {a} into {b}"
-                );
-            }
+            check_atom_class(*b, *a)?;
             self.write_slot(bases, b.class, *slot, *a)?;
         }
         Ok(())
@@ -793,7 +760,7 @@ impl BcMachine {
                                 ));
                             }
                             let fields = fields.clone();
-                            self.bind_checked::<true>(bases, &binds, &fields)?;
+                            self.bind_fields(bases, &binds, &fields)?;
                         }
                         other => {
                             return Err(MachineError::InvalidState(format!(
@@ -844,65 +811,45 @@ impl BcMachine {
         }
     }
 
-    /// Runs the machine from the entry's root chunk, with every
-    /// dynamic register-discipline check live.
+    /// Runs a verified entry from its root chunk. Verification is the
+    /// only way in: the register-class and width facts the verifier
+    /// proved are not re-checked, and the collector scans by the
+    /// heights the witness retained. A bare [`BcEntry`] is refused at
+    /// compile time:
+    ///
+    /// ```compile_fail
+    /// use std::sync::Arc;
+    /// use levity_m::bytecode::BcProgram;
+    /// use levity_m::compile::CodeProgram;
+    /// use levity_m::machine::Globals;
+    /// use levity_m::regmachine::BcMachine;
+    /// use levity_m::syntax::MExpr;
+    ///
+    /// let program = CodeProgram::compile(&Globals::new());
+    /// let bc = Arc::new(BcProgram::compile(&program));
+    /// let entry = bc.compile_entry(&program.compile_entry(&MExpr::int(1)));
+    /// let _ = BcMachine::new(bc).run(&entry); // expected `&VerifiedEntry`
+    /// ```
     ///
     /// # Errors
     ///
-    /// [`MachineError`] on broken invariants or fuel exhaustion;
-    /// `error` is reported as `Ok(RunOutcome::Error(..))` (rule ERR).
-    pub fn run(&mut self, entry: &BcEntry) -> Result<RunOutcome, MachineError> {
-        // Checked runs derive the collector's pointer maps lazily, at
-        // the first collection — the same dataflow the verifier runs,
-        // so both dispatch paths collect at identical points.
-        self.gc_maps = GcMaps::Unresolved;
-        self.dispatch::<true>(entry)
-    }
-
-    /// Runs a statically verified entry on the unchecked dispatch
-    /// path: the class and width checks the verifier discharged
-    /// ([`crate::verify`]) are compiled down to debug assertions.
-    /// Outcomes, errors and statistics are identical to [`Self::run`]
-    /// by construction — both are the same loop, monomorphized.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`]; additionally [`MachineError::BadBytecode`]
-    /// when the witness was issued for a different program than the
-    /// one this machine executes.
-    pub fn run_verified(
-        &mut self,
-        entry: &crate::verify::VerifiedEntry<'_>,
-    ) -> Result<RunOutcome, MachineError> {
+    /// [`MachineError`] on dynamic failures (a closure applied to an
+    /// argument of the wrong class, a constructor field bound at the
+    /// wrong class, `<<loop>>`, …) and exhausted fuel or caps; `error`
+    /// is reported as `Ok(RunOutcome::Error(..))` (rule ERR).
+    /// [`MachineError::BadBytecode`] when the witness was issued for a
+    /// different program than the one this machine executes.
+    pub fn run(&mut self, entry: &VerifiedEntry<'_>) -> Result<RunOutcome, MachineError> {
         if !Arc::ptr_eq(&self.program, entry.program().program()) {
             return Err(MachineError::BadBytecode(
                 "verified entry does not belong to this machine's program".to_owned(),
             ));
         }
-        // The witness already carries the per-pc heights — install
-        // them as the collector's pointer maps instead of re-deriving.
-        self.gc_maps = if entry.collectible() {
-            GcMaps::Ready(crate::gc::PtrMaps::new(
-                self.program.chunks.len(),
-                Arc::clone(entry.program().maps()),
-                Arc::clone(entry.entry_maps()),
-            ))
-        } else {
-            GcMaps::Off
-        };
-        self.dispatch::<false>(entry.entry())
-    }
-
-    /// Runs the loop with the hottest counters in locals, flushing
-    /// them to [`MachineStats`] exactly once on the way out — on `Ok`,
-    /// `Err` and `RunOutcome::Error` alike, so both monomorphizations
-    /// report identical statistics at every exit.
-    fn dispatch<const CHECKED: bool>(
-        &mut self,
-        entry: &BcEntry,
-    ) -> Result<RunOutcome, MachineError> {
+        // The hottest counters live in locals for the run and are
+        // flushed exactly once on the way out — on `Ok`, `Err` and
+        // `RunOutcome::Error` alike.
         let mut hot = Hot::default();
-        let r = self.run_loop::<CHECKED>(entry, &mut hot);
+        let r = self.run_loop(entry, &mut hot);
         self.stats.steps += hot.steps;
         self.stats.prim_ops += hot.prim_ops;
         self.stats.fused_ops += hot.fused_ops;
@@ -910,11 +857,12 @@ impl BcMachine {
         r
     }
 
-    fn run_loop<const CHECKED: bool>(
+    fn run_loop(
         &mut self,
-        entry: &BcEntry,
+        verified: &VerifiedEntry<'_>,
         hot: &mut Hot,
     ) -> Result<RunOutcome, MachineError> {
+        let entry = verified.entry();
         // Fuel spent by earlier runs on this machine is already in
         // `stats.steps`; the local counter starts at zero.
         let limit = self.fuel.saturating_sub(self.stats.steps);
@@ -954,11 +902,18 @@ impl BcMachine {
                     params,
                 } => {
                     if !args.is_empty() {
-                        // The one bind site the verifier fully
-                        // discharges: join arguments carry static
-                        // classes matching the parameter binders.
+                        // Join arguments carry static classes the
+                        // verifier matched against the parameter
+                        // binders: no width check. Every argument
+                        // resolves before any parameter is written.
                         let atoms = self.atoms_of(args, bases)?;
-                        self.bind_checked::<CHECKED>(bases, params, &atoms)?;
+                        for ((b, slot), a) in params.iter().zip(atoms) {
+                            debug_assert!(
+                                check_atom_class(*b, a).is_ok(),
+                                "verified join bound {a} to {b}"
+                            );
+                            self.write_slot(bases, b.class, *slot, a)?;
+                        }
                     }
                     hot.jumps += 1;
                     ex.pc = *target as usize;
@@ -1156,20 +1111,14 @@ impl BcMachine {
                             slot,
                             target,
                         } = *default;
-                        if CHECKED {
-                            let atom = Atom::Lit(w.lit());
-                            check_atom_class(binder, atom)?;
-                            self.write_slot(bases, binder.class, slot, atom)?;
-                        } else {
-                            // The verifier proved the default binder
-                            // word-class: rebind the scrutinee with a
-                            // straight register write.
-                            debug_assert!(
-                                binder.class == Slot::Word,
-                                "verified br.eq default binder {binder} is not word-class"
-                            );
-                            self.words[bases[1] + slot as usize] = w;
-                        }
+                        // The verifier proved the default binder
+                        // word-class: rebind the scrutinee with a
+                        // straight register write.
+                        debug_assert!(
+                            binder.class == Slot::Word,
+                            "verified br.eq default binder {binder} is not word-class"
+                        );
+                        self.words[bases[1] + slot as usize] = w;
                         ex.pc = target as usize;
                     }
                 }
@@ -1191,19 +1140,13 @@ impl BcMachine {
                                 slot,
                                 target,
                             }) => {
-                                if CHECKED {
-                                    let atom = Atom::Lit(l);
-                                    check_atom_class(binder, atom)?;
-                                    self.write_slot(bases, binder.class, slot, atom)?;
-                                } else {
-                                    // Verified: the default binder is
-                                    // word-class, rebind directly.
-                                    debug_assert!(
-                                        binder.class == Slot::Word,
-                                        "verified switch.w default binder {binder} is not word-class"
-                                    );
-                                    self.words[bases[1] + slot as usize] = w;
-                                }
+                                // Verified: the default binder is
+                                // word-class, rebind directly.
+                                debug_assert!(
+                                    binder.class == Slot::Word,
+                                    "verified switch.w default binder {binder} is not word-class"
+                                );
+                                self.words[bases[1] + slot as usize] = w;
                                 ex.pc = target as usize;
                             }
                             None => return Err(MachineError::NoMatchingAlt(l.to_string())),
@@ -1214,7 +1157,7 @@ impl BcMachine {
                     // A default alternative boxes a Clos/Con scrutinee
                     // (an allocation); collect first if due.
                     if matches!(acc, BValue::Clos { .. } | BValue::Con(..)) && self.gc_pressure() {
-                        self.collect_garbage(entry, &ex, &mut acc)?;
+                        self.collect_garbage(verified, &ex, &mut acc)?;
                     }
                     ex.pc = self.switch_acc(&acc, alts, *default, bases)?;
                 }
@@ -1281,7 +1224,7 @@ impl BcMachine {
                                 ));
                             }
                             let fields = fields.clone();
-                            self.bind_checked::<true>(bases, binds, &fields)?;
+                            self.bind_fields(bases, binds, &fields)?;
                         }
                         other => {
                             return Err(MachineError::InvalidState(format!(
@@ -1310,7 +1253,7 @@ impl BcMachine {
                 }
                 Instr::MkThunk { chunk, caps, dst } => {
                     if self.gc_pressure() {
-                        self.collect_garbage(entry, &ex, &mut acc)?;
+                        self.collect_garbage(verified, &ex, &mut acc)?;
                     }
                     let addr = self.alloc(BCell::Blackhole);
                     self.ptrs[bases[0] + *dst as usize] = addr;
@@ -1326,7 +1269,7 @@ impl BcMachine {
                 Instr::BindAcc { binder, slot } => {
                     // Boxing a Clos/Con accumulator allocates a cell.
                     if matches!(acc, BValue::Clos { .. } | BValue::Con(..)) && self.gc_pressure() {
-                        self.collect_garbage(entry, &ex, &mut acc)?;
+                        self.collect_garbage(verified, &ex, &mut acc)?;
                     }
                     let atom = match &acc {
                         BValue::Lit(l) => Atom::Lit(*l),
@@ -1406,11 +1349,6 @@ impl BcMachine {
                         }
                         _ => {
                             let n = args.len();
-                            if CHECKED && n > SELF_CALL_BUF {
-                                return Err(MachineError::BadBytecode(format!(
-                                    "call.self.w arity {n} exceeds the self-call buffer"
-                                )));
-                            }
                             debug_assert!(
                                 n <= SELF_CALL_BUF,
                                 "verified call.self.w arity {n} exceeds the self-call buffer"
@@ -1456,11 +1394,6 @@ impl BcMachine {
                         }
                         _ => {
                             let n = args.len();
-                            if CHECKED && n > SELF_CALL_BUF {
-                                return Err(MachineError::BadBytecode(format!(
-                                    "call.self.w arity {n} exceeds the self-call buffer"
-                                )));
-                            }
                             debug_assert!(
                                 n <= SELF_CALL_BUF,
                                 "verified call.self.w arity {n} exceeds the self-call buffer"
@@ -1795,7 +1728,7 @@ impl BcMachine {
                                 )));
                             }
                             let fields = Arc::clone(fields);
-                            self.bind_checked::<true>(bases, binds, &fields)?;
+                            self.bind_fields(bases, binds, &fields)?;
                             return Ok(*target as usize);
                         }
                     }
@@ -1874,21 +1807,23 @@ fn word_prim2(op: PrimOp, a: WordV, b: WordV) -> Result<WordV, MachineError> {
     Ok(WordV::of_lit(apply_prim(op, &[a.lit(), b.lit()])?))
 }
 
-/// Compiles nothing — runs an already-compiled entry on a fresh
-/// machine over the program, returning the outcome and statistics.
-/// Mirrors [`crate::env::run_compiled`].
+/// Compiles nothing — verifies an already-compiled entry against the
+/// program witness, then runs it on a fresh machine, returning the
+/// outcome and statistics. Mirrors [`crate::env::run_compiled`].
 ///
 /// # Errors
 ///
-/// See [`BcMachine::run`].
+/// [`MachineError::Unverified`] if the entry fails verification;
+/// otherwise see [`BcMachine::run`].
 pub fn run_bytecode(
-    program: &Arc<BcProgram>,
+    program: &VerifiedProgram,
     entry: &BcEntry,
     fuel: u64,
 ) -> Result<(RunOutcome, MachineStats), MachineError> {
-    let mut machine = BcMachine::new(Arc::clone(program));
+    let entry = program.verify_entry(entry)?;
+    let mut machine = BcMachine::new(Arc::clone(program.program()));
     machine.set_fuel(fuel);
-    let outcome = machine.run(entry)?;
+    let outcome = machine.run(&entry)?;
     Ok((outcome, *machine.stats()))
 }
 
@@ -1898,6 +1833,7 @@ mod tests {
     use crate::compile::CodeProgram;
     use crate::machine::Globals;
     use crate::syntax::{Alt, JoinDef, MExpr};
+    use crate::verify::verify;
 
     fn int_atom(n: i64) -> Atom {
         Atom::Lit(Literal::Int(n))
@@ -1914,7 +1850,8 @@ mod tests {
         let program = CodeProgram::compile(&globals);
         let bc = Arc::new(BcProgram::compile(&program));
         let entry = bc.compile_entry(&program.compile_entry(&t));
-        run_bytecode(&bc, &entry, crate::machine::Machine::DEFAULT_FUEL)
+        let verified = verify(&bc).expect("compiled programs verify");
+        run_bytecode(&verified, &entry, crate::machine::Machine::DEFAULT_FUEL)
     }
 
     #[test]
@@ -2175,8 +2112,9 @@ mod tests {
         let program = CodeProgram::compile(&globals);
         let bc = Arc::new(BcProgram::compile(&program));
         let entry = bc.compile_entry(&program.compile_entry(&MExpr::global("spin")));
+        let verified = verify(&bc).unwrap();
         assert_eq!(
-            run_bytecode(&bc, &entry, 1000).unwrap_err(),
+            run_bytecode(&verified, &entry, 1000).unwrap_err(),
             MachineError::OutOfFuel { limit: 1000 }
         );
     }
@@ -2199,8 +2137,11 @@ mod tests {
         let program = CodeProgram::compile(&Globals::new());
         let bc = Arc::new(BcProgram::compile(&program));
         let entry = bc.compile_entry(&program.compile_entry(&t));
+        let verified = verify(&bc).unwrap();
         let mut machine = BcMachine::new(bc);
-        let outcome = machine.run(&entry).unwrap();
+        let outcome = machine
+            .run(&verified.verify_entry(&entry).unwrap())
+            .unwrap();
         assert_eq!(outcome, RunOutcome::Value(Value::Lit(Literal::double(3.5))));
         let high = machine.stack_high_water();
         assert_eq!(high[1], 0, "no word slots for a double program");

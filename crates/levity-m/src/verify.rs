@@ -1,7 +1,7 @@
 //! The static bytecode verifier: a classfile-style abstract
-//! interpreter over [`BcProgram`] that proves, before execution, every
-//! property the register machine's checked dispatch loop re-validates
-//! dynamically.
+//! interpreter over [`BcProgram`] that proves, before execution, the
+//! register discipline the register machine's dispatch loop relies on
+//! without re-checking it.
 //!
 //! Levity polymorphism's whole point (§6.2) is that kinds statically
 //! determine representation — so the flat bytecode's per-class register
@@ -22,7 +22,7 @@
 //! * frame-size declarations `[u16; 4]` are never exceeded, including
 //!   by the chunk's own capture + parameter entry writes;
 //! * join-argument classes match the join parameters' binder classes,
-//!   so the machine's dynamic width checks on `goto.j` provably pass;
+//!   so the machine binds `goto.j` arguments without a width check;
 //! * direct-call argument classes and arities match the callee's
 //!   parameters, capture lists match the callee's declared capture
 //!   classes, and every chunk/global reference resolves;
@@ -32,14 +32,16 @@
 //!   write a register *of the wrong class* without a dynamic check
 //!   ([`Instr::RetMultiW`]'s fast path writes caller words directly);
 //! * word-register back-edges ([`Instr::CallW`]) fit the fixed
-//!   self-call buffer and the chunk's own all-word parameter shape.
+//!   self-call buffer and the chunk's own all-word parameter shape;
+//! * no operand is an immediate heap address (`PSrc::K`): addresses
+//!   only ever come out of the heap at runtime, so the moving collector
+//!   can forward every one of them.
 //!
 //! A program that passes is wrapped in the [`VerifiedProgram`] witness
-//! (constructible only here), which unlocks
-//! [`crate::regmachine::BcMachine::run_verified`] — the dispatch path
-//! with the statically-discharged checks compiled down to
-//! `debug_assert!`s. Failures are structured [`VerifyError`]s carrying
-//! the chunk, pc, disassembled instruction and expected/found heights.
+//! (constructible only here); an entry verified against it is the only
+//! thing [`crate::regmachine::BcMachine::run`] accepts. Failures are
+//! structured [`VerifyError`]s carrying the chunk, pc, disassembled
+//! instruction and expected/found heights.
 //!
 //! The per-class watermarks computed here are exactly the per-frame
 //! *pointer maps* a precise rep-directed garbage collector needs: at
@@ -68,7 +70,7 @@ pub type Heights = [u16; 4];
 /// The per-pc heights of one chunk, indexed by instruction offset.
 /// Offsets the dataflow never reached are `[0; 4]` — statically
 /// unreachable, so no frame can ever be suspended there.
-pub(crate) type ChunkMap = Arc<[Heights]>;
+pub(crate) type ChunkMap = Box<[Heights]>;
 
 /// Why verification rejected a program.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -150,6 +152,12 @@ pub enum VerifyErrorKind {
         /// The counts recomputed from the capture list.
         found: [u16; 4],
     },
+    /// An immediate heap-address operand: it names a cell the program
+    /// never allocated, and a moving collector could not forward it.
+    AddressConstant {
+        /// The embedded heap address.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for VerifyErrorKind {
@@ -195,6 +203,12 @@ impl fmt::Display for VerifyErrorKind {
                 f,
                 "caps_counts {declared:?} disagree with capture list counts {found:?}"
             ),
+            VerifyErrorKind::AddressConstant { addr } => {
+                write!(
+                    f,
+                    "immediate heap address #{addr} in the instruction stream"
+                )
+            }
         }
     }
 }
@@ -228,29 +242,20 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// The witness that a [`BcProgram`] passed verification. Constructible
-/// only via [`verify`]; holding one entitles the caller to
-/// [`crate::regmachine::BcMachine::run_verified`].
+/// only via [`verify`]; entries verified against it are what
+/// [`crate::regmachine::BcMachine::run`] accepts.
 #[derive(Clone, Debug)]
 pub struct VerifiedProgram {
     program: Arc<BcProgram>,
     /// Per-chunk, per-pc heights retained from the dataflow — the
     /// collector's safepoint pointer maps, indexed by chunk id.
     maps: Arc<[ChunkMap]>,
-    /// Whether the program is free of immediate heap-address constants
-    /// (`PSrc::K`), which a moving collector cannot forward.
-    gc_safe: bool,
 }
 
 impl VerifiedProgram {
     /// The verified program.
     pub fn program(&self) -> &Arc<BcProgram> {
         &self.program
-    }
-
-    /// The retained per-chunk pointer maps (parallel to
-    /// `program.chunks`).
-    pub(crate) fn maps(&self) -> &Arc<[ChunkMap]> {
-        &self.maps
     }
 
     /// The provable `[ptr, word, float, double]` initialized heights at
@@ -279,10 +284,8 @@ impl VerifiedProgram {
         };
         let base = self.program.chunks.len() as u32;
         let mut maps = Vec::with_capacity(entry.chunks.len());
-        let mut gc_safe = true;
         for (ix, chunk) in entry.chunks.iter().enumerate() {
             maps.push(verifier.verify_chunk(base + ix as u32, chunk)?);
-            gc_safe &= !mentions_addr_const(&chunk.code);
         }
         // The root is entered with no captures and no parameters.
         let Some(root) = verifier.chunk(entry.root) else {
@@ -311,7 +314,6 @@ impl VerifiedProgram {
             program: self,
             entry,
             maps: maps.into(),
-            gc_safe,
         })
     }
 }
@@ -325,10 +327,7 @@ pub struct VerifiedEntry<'a> {
     entry: &'a BcEntry,
     /// Pointer maps for the entry chunks (chunk ids continue the
     /// program's id space at `program.chunks.len()`).
-    maps: Arc<[ChunkMap]>,
-    /// Whether the entry chunks are free of immediate heap-address
-    /// constants.
-    gc_safe: bool,
+    maps: Box<[ChunkMap]>,
 }
 
 impl<'a> VerifiedEntry<'a> {
@@ -342,16 +341,16 @@ impl<'a> VerifiedEntry<'a> {
         self.entry
     }
 
-    /// The retained pointer maps for the entry chunks.
-    pub(crate) fn entry_maps(&self) -> &Arc<[ChunkMap]> {
-        &self.maps
-    }
-
-    /// Whether program and entry together are collectible: no chunk
-    /// embeds an immediate heap address the collector could not
-    /// forward.
-    pub(crate) fn collectible(&self) -> bool {
-        self.program.gc_safe && self.gc_safe
+    /// The provable initialized heights at `pc` of chunk `chunk`, in
+    /// the combined id space of program and entry chunks, or `None` if
+    /// either index is out of range. These are the collector's
+    /// safepoint pointer maps.
+    pub(crate) fn heights_at(&self, chunk: u32, pc: usize) -> Option<Heights> {
+        let base = self.program.maps.len();
+        match (chunk as usize).checked_sub(base) {
+            None => self.program.heights_at(chunk, pc),
+            Some(ix) => self.maps.get(ix)?.get(pc).copied(),
+        }
     }
 }
 
@@ -383,69 +382,12 @@ pub fn verify(program: &Arc<BcProgram>) -> Result<VerifiedProgram, VerifyError> 
         }
     }
     let mut maps = Vec::with_capacity(program.chunks.len());
-    let mut gc_safe = true;
     for (ix, chunk) in program.chunks.iter().enumerate() {
         maps.push(verifier.verify_chunk(ix as u32, chunk)?);
-        gc_safe &= !mentions_addr_const(&chunk.code);
     }
     Ok(VerifiedProgram {
         program: Arc::clone(program),
         maps: maps.into(),
-        gc_safe,
-    })
-}
-
-/// Derives the collector's pointer maps for a checked (unverified) run
-/// of `entry` against `program`: the same worklist dataflow the
-/// verifier runs, retained per pc. Returns `None` if any chunk fails
-/// verification or embeds an immediate heap-address constant — the
-/// machine then simply never collects, which is the pre-GC behaviour.
-pub(crate) fn pointer_maps_for(program: &BcProgram, entry: &BcEntry) -> Option<crate::gc::PtrMaps> {
-    let verifier = Verifier {
-        program,
-        entry: Some(entry),
-    };
-    let base = program.chunks.len();
-    let mut prog_maps = Vec::with_capacity(base);
-    for (ix, chunk) in program.chunks.iter().enumerate() {
-        if mentions_addr_const(&chunk.code) {
-            return None;
-        }
-        prog_maps.push(verifier.verify_chunk(ix as u32, chunk).ok()?);
-    }
-    let mut entry_maps = Vec::with_capacity(entry.chunks.len());
-    for (ix, chunk) in entry.chunks.iter().enumerate() {
-        if mentions_addr_const(&chunk.code) {
-            return None;
-        }
-        entry_maps.push(verifier.verify_chunk((base + ix) as u32, chunk).ok()?);
-    }
-    Some(crate::gc::PtrMaps::new(
-        base,
-        prog_maps.into(),
-        entry_maps.into(),
-    ))
-}
-
-/// Whether any operand position of `code` holds an immediate heap
-/// address (`PSrc::K`). Such constants name cells directly in the
-/// instruction stream, where a moving collector cannot rewrite them —
-/// programs containing them run uncollected.
-fn mentions_addr_const(code: &[Instr]) -> bool {
-    let psrc = |s: &PSrc| matches!(s, PSrc::K(_));
-    let src = |s: &Src| matches!(s, Src::P(PSrc::K(_)));
-    code.iter().any(|i| match i {
-        Instr::MovP { src: s, .. } => psrc(s),
-        Instr::EvalP(s) => psrc(s),
-        Instr::GotoJ { args, .. }
-        | Instr::PrimA { args, .. }
-        | Instr::MkCon { args, .. }
-        | Instr::MkMulti { args }
-        | Instr::RetMulti { args }
-        | Instr::CallF { args, .. } => args.iter().any(src),
-        Instr::MkClos { caps, .. } | Instr::MkThunk { caps, .. } => caps.iter().any(src),
-        Instr::PushArg(s) => src(s),
-        _ => false,
     })
 }
 
@@ -612,7 +554,7 @@ impl ChunkVerifier<'_> {
     fn read_p(&self, h: &Heights, s: PSrc) -> Result<(), VerifyError> {
         match s {
             PSrc::R(i) => self.read(h, Slot::Ptr, i),
-            PSrc::K(_) => Ok(()),
+            PSrc::K(a) => Err(self.fail(VerifyErrorKind::AddressConstant { addr: a.0 })),
         }
     }
 
@@ -951,10 +893,9 @@ impl ChunkVerifier<'_> {
             } => {
                 self.read_w(&h, *src)?;
                 self.branch(states, work, *on_eq, h)?;
-                // The miss path rebinds the (word) scrutinee; a
-                // non-word default binder would fail the machine's
-                // dynamic width check on every execution — and the
-                // unchecked path elides that check, so reject it here.
+                // The miss path rebinds the (word) scrutinee with a
+                // straight word-register write and no width check, so
+                // a non-word default binder must be rejected here.
                 if default.binder.class != Slot::Word {
                     return Err(self.fail(VerifyErrorKind::ClassMismatch {
                         what: "br.eq default binder",

@@ -251,9 +251,8 @@ impl ProgramCache {
 }
 
 // The pipeline statically verifies the bytecode as part of
-// compilation, so the witness is built once per cache *insert* and
-// every request served from the cache runs on the register machine's
-// unchecked fast path for free.
+// compilation, so the witness is built once per cache *insert*; a
+// request served from the cache verifies only its tiny entry term.
 fn compile(source: &str, opt_level: OptLevel, with_prelude: bool) -> CompileResult {
     let result = if with_prelude {
         compile_with_prelude_opt(source, opt_level)

@@ -24,6 +24,12 @@
 //! generated surface programs compile at `O0` and at the default level
 //! and must produce identical [`RunOutcome`]s, on both engines.
 //!
+//! Every bytecode leg — raw terms and pipeline programs, hand-written
+//! and generated — runs through the verifier (the register machine's
+//! only way in), once at the default nursery and once at
+//! [`TINY_NURSERY`], where allocating programs collect constantly: the
+//! collector must be observationally invisible everywhere.
+//!
 //! Both proptest blocks honour `LEVITY_PROPTEST_CASES` (the nightly CI
 //! job raises it to 2048).
 
@@ -40,12 +46,21 @@ use levity::l::gen::{GenConfig, Generator};
 use levity::m::bytecode::BcProgram;
 use levity::m::compile::CodeProgram;
 use levity::m::env::EnvMachine;
+use levity::m::gc::DEFAULT_NURSERY_CELLS;
 use levity::m::machine::{Globals, Machine, MachineError, MachineStats, RunOutcome};
 use levity::m::regmachine::BcMachine;
 use levity::m::syntax::{Alt, Atom, Binder, DataCon, Literal, MExpr, PrimOp};
+use levity::m::verify::verify;
 use levity::m::Engine;
 
 const FUEL: u64 = 200_000_000;
+
+/// A nursery small enough that every allocating program collects,
+/// repeatedly.
+const TINY_NURSERY: usize = 32;
+
+/// The nurseries every bytecode leg runs at.
+const NURSERIES: [usize; 2] = [DEFAULT_NURSERY_CELLS, TINY_NURSERY];
 
 /// Property-test case count, overridable via `LEVITY_PROPTEST_CASES`
 /// (the scheduled nightly CI job runs with 2048).
@@ -79,15 +94,33 @@ fn run_env(globals: &Globals, t: &Arc<MExpr>, fuel: u64) -> MachineResult {
     (result, *machine.stats())
 }
 
-/// Runs the same term on the flat-bytecode register machine.
-fn run_bytecode(globals: &Globals, t: &Arc<MExpr>, fuel: u64) -> MachineResult {
+/// Runs the same term on the flat-bytecode register machine, verified
+/// first, with the collector's nursery at `nursery` cells. An entry the
+/// verifier rejects reports `MachineError::Unverified`, like the
+/// pipeline.
+fn run_bytecode(globals: &Globals, t: &Arc<MExpr>, fuel: u64, nursery: usize) -> MachineResult {
     let program = CodeProgram::compile(globals);
     let bc = Arc::new(BcProgram::compile(&program));
     let entry = bc.compile_entry(&program.compile_entry(t));
+    let verified = verify(&bc).expect("compiled programs verify");
     let mut machine = BcMachine::new(bc);
     machine.set_fuel(fuel);
-    let result = machine.run(&entry);
+    machine.set_gc_nursery(nursery);
+    let result = verified
+        .verify_entry(&entry)
+        .map_err(MachineError::from)
+        .and_then(|entry| machine.run(&entry));
     (result, *machine.stats())
+}
+
+/// Runs `main` of a pipeline program on the bytecode engine with the
+/// collector's nursery at `nursery` cells.
+fn run_bytecode_main(compiled: &Compiled, nursery: usize) -> MachineResult {
+    let limits = RunLimits {
+        gc_nursery: Some(nursery),
+        ..RunLimits::fuel(FUEL)
+    };
+    split(compiled.run_with_limits("main", Engine::Bytecode, limits))
 }
 
 /// Pins the bytecode engine against a tree-walking reference result.
@@ -145,13 +178,16 @@ fn assert_bytecode_agrees(reference: &MachineResult, bc: &MachineResult, what: &
     );
 }
 
-/// Asserts all three engines produce identical results on a raw term.
+/// Asserts all three engines produce identical results on a raw term,
+/// the bytecode engine at every nursery in [`NURSERIES`].
 fn assert_engines_agree(globals: &Globals, t: &Arc<MExpr>, fuel: u64, what: &str) {
     let subst = run_subst(globals, t, fuel);
     let env = run_env(globals, t, fuel);
     assert_eq!(subst, env, "engines disagree on {what}: {t}");
-    let bc = run_bytecode(globals, t, fuel);
-    assert_bytecode_agrees(&env, &bc, what);
+    for nursery in NURSERIES {
+        let bc = run_bytecode(globals, t, fuel, nursery);
+        assert_bytecode_agrees(&env, &bc, &format!("{what} (nursery {nursery})"));
+    }
 }
 
 /// Asserts both engines produce identical results through the full
@@ -169,43 +205,35 @@ fn assert_pipeline_agrees(source: &str, what: &str) {
             subst, env,
             "engines disagree on {what} at {level} (outcome or stats)"
         );
-        // Third engine, looser stats contract: outcome and allocation
-        // counters pinned, steps bounded — the 6-way grid.
-        let bc = compiled.run_with_engine("main", FUEL, Engine::Bytecode);
-        assert_bytecode_agrees(&split(env), &split(bc), &format!("{what} at {level}"));
-        // Plus the PR-9 extension: the lowered Core lints clean, and
-        // the register machine's checked and unchecked paths agree on
-        // outcome and every counter.
-        assert_verified_fast_path_agrees(&compiled, &format!("{what} at {level}"));
+        assert_bytecode_agrees_at_every_nursery(
+            &compiled,
+            &split(env),
+            &format!("{what} at {level}"),
+        );
+        assert_lints_clean(&compiled, &format!("{what} at {level}"));
     }
 }
 
-/// The PR-9 leg of the grid: the lowered program passes every Core
-/// lint rule with zero errors, and the flat-bytecode machine's
-/// *unchecked* fast path (the verifier's payoff) agrees with the
-/// checked path on the outcome and **every** [`MachineStats`] counter.
-fn assert_verified_fast_path_agrees(compiled: &Compiled, what: &str) {
+/// Third engine, looser stats contract — the 6-way grid: outcome and
+/// allocation counters pinned against `reference`, steps bounded, at
+/// every nursery in [`NURSERIES`].
+fn assert_bytecode_agrees_at_every_nursery(
+    compiled: &Compiled,
+    reference: &MachineResult,
+    what: &str,
+) {
+    for nursery in NURSERIES {
+        let bc = run_bytecode_main(compiled, nursery);
+        assert_bytecode_agrees(reference, &bc, &format!("{what} (nursery {nursery})"));
+    }
+}
+
+/// The lowered program passes every Core lint rule with zero errors.
+fn assert_lints_clean(compiled: &Compiled, what: &str) {
     let tenv = levity::ir::typecheck::check_program(&compiled.program)
         .unwrap_or_else(|(b, e)| panic!("{what}: `{b}` fails re-typecheck: {e}"));
     let lints = levity::compile::lint_program(&tenv, &compiled.program);
     assert!(lints.is_clean(), "{what} fails Core lint:\n{lints}");
-    let entry = compiled
-        .bytecode
-        .compile_entry(&compiled.code.compile_entry(&MExpr::global("main")));
-    let mut checked = BcMachine::new(Arc::clone(&compiled.bytecode));
-    checked.set_fuel(FUEL);
-    let c = (checked.run(&entry), *checked.stats());
-    let ventry = compiled
-        .verified
-        .verify_entry(&entry)
-        .unwrap_or_else(|e| panic!("{what}: entry fails verification: {e}"));
-    let mut unchecked = BcMachine::new(Arc::clone(&compiled.bytecode));
-    unchecked.set_fuel(FUEL);
-    let u = (unchecked.run_verified(&ventry), *unchecked.stats());
-    assert_eq!(
-        c, u,
-        "checked and unchecked register machines disagree on {what}"
-    );
 }
 
 /// Adapts a pipeline run result to the raw-term [`MachineResult`]
@@ -428,16 +456,10 @@ fn gc_is_observationally_invisible_across_the_corpus() {
             let compiled = compile_with_prelude_opt(source, level)
                 .unwrap_or_else(|e| panic!("{what} ({level}): {e}"));
             let env = compiled.run_with_engine("main", FUEL, Engine::Env);
-            let limits = RunLimits {
-                gc_nursery: Some(32),
-                ..RunLimits::fuel(FUEL)
-            };
-            let bc = compiled.run_with_limits("main", Engine::Bytecode, limits);
-            if let Ok((_, stats)) = &bc {
-                collections += stats.collections;
-            }
+            let bc = run_bytecode_main(&compiled, TINY_NURSERY);
+            collections += bc.1.collections;
             let what = format!("{what} at {level} under forced gc");
-            assert_bytecode_agrees(&split(env), &split(bc), &what);
+            assert_bytecode_agrees(&split(env), &bc, &what);
         }
     }
     assert!(collections > 0, "forced-tiny nursery never collected");
@@ -688,8 +710,10 @@ proptest! {
         let subst = run_subst(&globals, &t, 2_000_000);
         let env = run_env(&globals, &t, 2_000_000);
         prop_assert_eq!(&subst, &env, "engines disagree on generated term {}", e);
-        let bc = run_bytecode(&globals, &t, 2_000_000);
-        assert_bytecode_agrees(&env, &bc, &format!("generated term {e}"));
+        for nursery in NURSERIES {
+            let bc = run_bytecode(&globals, &t, 2_000_000, nursery);
+            assert_bytecode_agrees(&env, &bc, &format!("generated term {e} (nursery {nursery})"));
+        }
     }
 }
 
@@ -718,18 +742,27 @@ fn observe(r: Result<RunOutcome, MachineError>) -> Observed {
     }
 }
 
-/// Compiles at both levels and asserts identical run results on both
-/// engines. Stats are deliberately *not* compared: changing the
-/// counters while preserving the outcome is the optimizer's job.
+/// Compiles at both levels and asserts identical run results on every
+/// engine, the bytecode engine at every nursery in [`NURSERIES`].
+/// Stats are deliberately *not* compared: changing the counters while
+/// preserving the outcome is the optimizer's job.
 fn assert_opt_noopt_agree(source: &str, what: &str) {
     let o0 = compile_with_prelude_opt(source, OptLevel::O0)
         .unwrap_or_else(|e| panic!("{what} (O0): {e}"));
     let o2 = compile_with_prelude_opt(source, OptLevel::O2)
         .unwrap_or_else(|e| panic!("{what} (O2): {e}"));
-    for engine in [Engine::Subst, Engine::Env, Engine::Bytecode] {
+    for engine in [Engine::Subst, Engine::Env] {
         let r0 = observe(o0.run_with_engine("main", FUEL, engine).map(|(out, _)| out));
         let r2 = observe(o2.run_with_engine("main", FUEL, engine).map(|(out, _)| out));
         assert_eq!(r0, r2, "O0 and O2 disagree on {what} ({engine:?} engine)");
+    }
+    for nursery in NURSERIES {
+        let r0 = observe(run_bytecode_main(&o0, nursery).0);
+        let r2 = observe(run_bytecode_main(&o2, nursery).0);
+        assert_eq!(
+            r0, r2,
+            "O0 and O2 disagree on {what} (Bytecode engine, nursery {nursery})"
+        );
     }
 }
 
@@ -1155,16 +1188,10 @@ proptest! {
                 seed,
                 level
             );
-            let bc = compiled.run_with_engine("main", FUEL, Engine::Bytecode);
-            assert_bytecode_agrees(
-                &split(env),
-                &split(bc),
-                &format!("seed {seed} at {level}"),
-            );
-            // ... and the generated axis gets the PR-9 leg too: lint
-            // the lowered Core, then race the verified fast path
-            // against the checked one.
-            assert_verified_fast_path_agrees(compiled, &format!("seed {seed} at {level}"));
+            let what = format!("seed {seed} at {level}");
+            assert_bytecode_agrees_at_every_nursery(compiled, &split(env), &what);
+            // ... and the generated axis lints the lowered Core too.
+            assert_lints_clean(compiled, &what);
         }
     }
 }

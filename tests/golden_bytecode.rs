@@ -16,7 +16,9 @@
 //! resolved pcs, and binder names in `binds [...]` come from the
 //! machine lowering's per-function numbering, not the optimizer's
 //! process-global fresh counter (pinned by
-//! `disassembly_is_stable_across_recompilations` below).
+//! `disassembly_is_stable_across_recompilations` below). Chunks appear
+//! in global-name order, never in symbol-interning order (pinned by
+//! `chunk_order_is_independent_of_interning_order`).
 //!
 //! To regenerate after an intentional bytecode-compiler change:
 //!
@@ -26,7 +28,8 @@
 
 use std::path::PathBuf;
 
-use levity::driver::compile_with_prelude;
+use levity::core::symbol::Symbol;
+use levity::driver::{compile_with_prelude, compile_with_prelude_opt, OptLevel};
 
 /// The snapshot corpus — kept in lockstep with `golden_core.rs`, so
 /// every pinned Core program also pins the flat code it lowers to.
@@ -204,8 +207,8 @@ fn flat_bytecode_matches_the_committed_snapshots() {
 
 /// Two independent compilations of the same source must disassemble
 /// byte-identically, even with other compilations interleaved (the
-/// optimizer's process-global fresh-name counter must not leak into
-/// the flat code's rendering).
+/// optimizer's fresh-name counter must not leak into the flat code's
+/// rendering).
 #[test]
 fn disassembly_is_stable_across_recompilations() {
     let (name, src) = GOLDEN.iter().find(|(n, _)| *n == "cpr_divmod").unwrap();
@@ -213,6 +216,37 @@ fn disassembly_is_stable_across_recompilations() {
     let _ = compile_with_prelude("f :: Int -> Int\nf x = x + x\nmain :: Int\nmain = f 1\n");
     let b = disasm(src, name);
     assert_eq!(a, b, "disassembly must not depend on compilation order");
+}
+
+/// Chunk order must not depend on interning order. Test threads intern
+/// names in whatever order they first meet them, so ordering globals by
+/// intern index made these snapshots flake. The same program compiles
+/// under two fresh name prefixes whose globals are interned in opposite
+/// orders; apart from the prefix, the disassemblies must be identical.
+#[test]
+fn chunk_order_is_independent_of_interning_order() {
+    let compile = |prefix: &str, first: &str, second: &str| {
+        Symbol::intern(&format!("{prefix}{first}"));
+        Symbol::intern(&format!("{prefix}{second}"));
+        let src = format!(
+            "{prefix}ping :: Int# -> Int# -> Int#\n\
+             {prefix}ping acc n = case n of {{ 0# -> acc; _ -> {prefix}pong (acc +# n) (n -# 1#) }}\n\
+             {prefix}pong :: Int# -> Int# -> Int#\n\
+             {prefix}pong acc n = case n of {{ 0# -> acc; _ -> {prefix}ping (acc *# 2#) (n -# 1#) }}\n\
+             main :: Int#\n\
+             main = {prefix}ping 0# 10#\n"
+        );
+        // O0 keeps both globals as separate chunks.
+        let rendered = compile_with_prelude_opt(&src, OptLevel::O0)
+            .unwrap_or_else(|e| panic!("{prefix}: {e}"))
+            .bytecode
+            .disasm();
+        assert!(rendered.contains(&format!("chunk {prefix}pong ")));
+        rendered.replace(prefix, "P")
+    };
+    let a = compile("internorderx", "ping", "pong");
+    let b = compile("internordery", "pong", "ping");
+    assert_eq!(a, b, "chunk order must not depend on interning order");
 }
 
 /// The snapshots must actually contain the shapes they pin: the CPR

@@ -7,9 +7,9 @@
 //! noise three PRs later.
 //!
 //! The printer α-normalizes term binders (`x0`, `x1`, … in traversal
-//! order): every optimizer pass freshens binders through a
-//! process-global counter, so raw names differ run to run while the
-//! *structure* — which this suite pins — does not. Global names
+//! order): every optimizer pass freshens binders through a counter
+//! (`levity_ir::freshen`), so raw names depend on the counter's state
+//! while the *structure* — which this suite pins — does not. Global names
 //! (workers `$w…`, specialised clones `$s…`) are minted
 //! deterministically and print as-is.
 //!
@@ -422,8 +422,7 @@ fn optimized_core_matches_the_committed_snapshots() {
 }
 
 /// The α-normalizer must make printing deterministic: two independent
-/// compilations of the same source (whose raw freshened binder names
-/// differ) must render byte-identically.
+/// compilations of the same source must render byte-identically.
 #[test]
 fn rendering_is_stable_across_recompilations() {
     let src = GOLDEN.iter().find(|(n, _)| *n == "cpr_divmod").unwrap().1;

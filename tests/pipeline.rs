@@ -81,6 +81,28 @@ fn optimizer_unboxes_the_boxed_loop() {
 }
 
 #[test]
+fn fresh_names_restart_with_every_compilation() {
+    // The interner never frees a name, so a long-running server must not
+    // mint new binder names for every program it compiles: recompiling a
+    // source after another compilation yields the same raw Core.
+    let src = "sumTo :: Int -> Int -> Int\n\
+               sumTo acc n = case n of { I# k -> case k of { 0# -> acc; _ -> sumTo (acc + n) (n - 1) } }\n\
+               main :: Int\n\
+               main = sumTo 0 1000\n";
+    let first = compile_with_prelude(src).unwrap().program.bindings;
+    assert!(
+        format!("{first:?}").contains('\''),
+        "the optimizer should have freshened some binders"
+    );
+    compile_with_prelude("f :: Int -> Int\nf x = x * x\nmain :: Int\nmain = f 7\n").unwrap();
+    let again = compile_with_prelude(src).unwrap().program.bindings;
+    assert!(
+        first == again,
+        "freshened names depend on earlier compilations"
+    );
+}
+
+#[test]
 fn class_dispatch_at_unboxed_types() {
     // §7.3: 3# + 4# via the Num Int# instance.
     assert_eq!(run_int("main :: Int#\nmain = 3# + 4#\n"), 7);
@@ -857,7 +879,7 @@ mod pipeline_error_reachability {
 // ---------------------------------------------------------------------
 // Engine 3 negative space: what the register machine must *not* do —
 // mix representation classes across operand stacks, skip the §6.2 width
-// checks, or panic on malformed flat code.
+// checks, or run malformed flat code.
 // ---------------------------------------------------------------------
 
 mod bytecode_negative_space {
@@ -868,6 +890,7 @@ mod bytecode_negative_space {
     use levity::m::machine::MachineError;
     use levity::m::regmachine::BcMachine;
     use levity::m::syntax::{Atom, Binder, Literal, MExpr};
+    use levity::m::verify::VerifyErrorKind;
     use levity::m::Engine;
 
     /// Runs `main` of a compiled pipeline program on a fresh
@@ -878,9 +901,10 @@ mod bytecode_negative_space {
         let entry = compiled
             .bytecode
             .compile_entry(&compiled.code.compile_entry(&MExpr::global("main")));
+        let ventry = compiled.verified.verify_entry(&entry).unwrap();
         let mut machine = BcMachine::new(Arc::clone(&compiled.bytecode));
         machine.set_fuel(super::FUEL);
-        machine.run(&entry).unwrap();
+        machine.run(&ventry).unwrap();
         machine.stack_high_water()
     }
 
@@ -952,12 +976,12 @@ mod bytecode_negative_space {
         }
     }
 
-    /// Hand-built malformed flat code: a jump past the end of the chunk
-    /// and a call to a chunk id that does not exist must both surface
-    /// as `BadBytecode` — the interpreter bounds-checks its program
-    /// counter and chunk table instead of panicking.
+    /// Hand-built malformed entry code: a jump past the end of the
+    /// chunk and a call to a chunk id that does not exist are both
+    /// rejected by entry verification — with the structured kind — so
+    /// the interpreter never runs them.
     #[test]
-    fn wild_pc_and_unknown_chunk_are_bad_bytecode_not_panics() {
+    fn wild_pc_and_unknown_chunk_entries_are_rejected_before_running() {
         let compiled = compile_with_prelude("main :: Int#\nmain = 0#\n").unwrap();
         let rogue = |label: &str, code: Vec<Instr>| BcEntry {
             chunks: vec![Arc::new(Chunk {
@@ -971,27 +995,22 @@ mod bytecode_negative_space {
             })],
             root: compiled.bytecode.chunks.len() as u32,
         };
-        let run = |entry: &BcEntry| {
-            let mut machine = BcMachine::new(Arc::clone(&compiled.bytecode));
-            machine.set_fuel(super::FUEL);
-            machine.run(entry).unwrap_err()
-        };
-        let wild_pc = run(&rogue("wild-pc", vec![Instr::Goto(99)]));
-        assert!(
-            matches!(&wild_pc, MachineError::BadBytecode(m) if m.contains("out of range")),
-            "{wild_pc}"
+        let rejected = |entry: &BcEntry| compiled.verified.verify_entry(entry).unwrap_err().kind;
+        assert_eq!(
+            rejected(&rogue("wild-pc", vec![Instr::Goto(99)])),
+            VerifyErrorKind::BadJumpTarget { target: 99, len: 1 }
         );
-        let bad_chunk = run(&rogue(
+        let bad_chunk = rogue(
             "bad-chunk",
             vec![Instr::CallF {
                 chunk: 9999,
                 args: Arc::from([] as [levity::m::bytecode::Src; 0]),
                 tail: true,
             }],
-        ));
-        assert!(
-            matches!(&bad_chunk, MachineError::BadBytecode(m) if m.contains("unknown chunk")),
-            "{bad_chunk}"
+        );
+        assert_eq!(
+            rejected(&bad_chunk),
+            VerifyErrorKind::BadChunkRef { id: 9999 }
         );
     }
 }
