@@ -7,6 +7,12 @@
 //! [`lower_program`](crate::lower::lower_program), each justified by
 //! facts the kinds already state:
 //!
+//! 0. [`eliminate_dead_globals`](usage::eliminate_dead_globals), when
+//!    the caller names entry points — every binding the entries cannot
+//!    reach is dropped before any pass runs, so the passes and the
+//!    re-typecheck after each see only the module's live code, not the
+//!    whole prelude in front of it (GHC likewise drops dead bindings
+//!    before each simplifier run);
 //! 1. [`specialise_functions`](spec_fun::specialise_functions) — a
 //!    constrained function called with statically known dictionaries is
 //!    cloned per distinct dictionary tuple, the dictionary λ dropped
@@ -29,13 +35,13 @@
 //! 5. inline + simplify again, so wrappers vanish at call sites,
 //!    workers tail-call themselves on raw registers, and CPR reboxes
 //!    cancel against call-site scrutinies;
-//! 6. [`eliminate_dead_globals`](usage::eliminate_dead_globals) — the
-//!    specialised-away originals, orphaned selectors and stale wrappers
-//!    left behind by 1–5 are dropped: nothing reachable from the entry
-//!    points mentions them, so they would only cost lowering and code
-//!    size. The entry-point set is the caller's
-//!    ([`optimise_program`]'s `entry_points`; `None` keeps every
-//!    binding).
+//! 6. [`eliminate_dead_globals`](usage::eliminate_dead_globals) again —
+//!    the specialised-away originals, orphaned selectors and stale
+//!    wrappers left behind by 1–5 are dropped: nothing reachable from
+//!    the entry points mentions them, so they would only cost lowering
+//!    and code size. The entry-point set is the caller's
+//!    ([`optimise_program`]'s `entry_points`; `None` skips both sweeps
+//!    and keeps every binding).
 //!
 //! The worked §7.3 example, end to end. The elaborated
 //!
@@ -110,8 +116,8 @@ impl fmt::Display for OptLevel {
 /// merely re-discovers (and make the numbers grow with the round bound
 /// rather than with the program). Counters for iterated passes
 /// therefore record the **busiest single round** ([`fold_round`]);
-/// single-shot passes (worker/wrapper, dead-global elimination) report
-/// plain totals.
+/// worker/wrapper reports a plain total, and dead-global elimination
+/// the sum of its two sweeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptReport {
     /// Monomorphised clones of constrained functions created (per-round
@@ -133,7 +139,10 @@ pub struct OptReport {
     /// Workers whose *result* was unboxed to `(# … #)` (constructed
     /// product result); a subset of [`OptReport::workers`].
     pub cpr_workers: usize,
-    /// Unreachable top-level bindings eliminated.
+    /// Unreachable top-level bindings eliminated, summed over both
+    /// sweeps: the one before the passes (bindings the entries never
+    /// reached) and the one after them (originals, selectors and
+    /// wrappers the passes left unreachable).
     pub dead_globals: usize,
     /// Core-lint runs performed ([`crate::lint`]): after every pass
     /// under `debug_assertions`, once per optimise in release.
@@ -168,9 +177,10 @@ const SPEC_ROUNDS: usize = 3;
 /// [`TypeEnv`] — already covering any worker globals the split added,
 /// so the caller can lower without re-checking.
 ///
-/// `entry_points` drives the final dead-global elimination: bindings
-/// unreachable from the set are dropped. `None` disables elimination
-/// (every binding is kept, as before the pass existed).
+/// `entry_points` drives dead-global elimination, before the passes
+/// and after them: bindings unreachable from the set are dropped. `None`
+/// disables elimination (every binding is kept, as before the pass
+/// existed).
 ///
 /// # Errors
 ///
@@ -183,7 +193,16 @@ pub fn optimise_program(
     entry_points: Option<&HashSet<Symbol>>,
 ) -> Result<(Program, OptReport, TypeEnv), (Symbol, CoreError)> {
     let mut report = OptReport::default();
-    let mut cur = prog.clone();
+    // Prune first: the passes below, and the re-typecheck after each,
+    // then see only what the entries reach, not a whole prelude.
+    let mut cur = match entry_points {
+        Some(entries) => {
+            let (pruned, dropped) = usage::eliminate_dead_globals(prog, entries);
+            report.dead_globals = dropped;
+            pruned
+        }
+        None => prog.clone(),
+    };
     let mut env_opt: Option<TypeEnv> = None;
 
     let no_force: HashSet<Symbol> = HashSet::new();
@@ -242,7 +261,7 @@ pub fn optimise_program(
 
     if let Some(entries) = entry_points {
         let (next, dropped) = usage::eliminate_dead_globals(&cur, entries);
-        report.dead_globals = dropped;
+        report.dead_globals += dropped;
         cur = next;
         env = validate(&cur, "dead-globals", &mut report)?;
     }

@@ -122,7 +122,7 @@ impl From<String> for Symbol {
 /// assert_ne!(a, b);
 /// assert!(a.as_str().starts_with("p$"));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct NameSupply {
     next: u64,
 }

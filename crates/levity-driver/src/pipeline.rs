@@ -19,11 +19,26 @@
 //! it in debug builds — the pass pipeline must be
 //! representation-preserving.
 //!
+//! # The prelude
+//!
+//! [`compile_with_prelude`] and its variants compile the user's module as
+//! if it followed the [`PRELUDE`] in one source, but do the front end's
+//! work (parse, elaborate, Core check, levity check) for the user's
+//! module only: the prelude went through it once per process, and its
+//! result seeds every later compilation (see [`crate::prelude`]). The
+//! result equals compiling the concatenated source, which is still what
+//! a module takes when it cannot follow the seed: one that redeclares a
+//! name the prelude binds, or whose first line is indented and so would
+//! continue the prelude's last declaration.
+//!
 //! # Entry points
 //!
-//! At `O2` the optimizer finishes with dead-global elimination, driven
-//! by an explicit entry-point set recorded in
-//! [`Compiled::entry_points`]:
+//! At `O2` the optimizer starts and finishes with dead-global
+//! elimination, driven by an explicit entry-point set recorded in
+//! [`Compiled::entry_points`]. The first sweep leaves the passes only
+//! the code the entries reach (of a prelude compilation, usually the
+//! user's module and a handful of prelude bindings); the last drops what
+//! the passes themselves left unreachable. The set is:
 //!
 //! * by default, `main` when the module defines it, otherwise **every**
 //!   top-level binding (so a library-shaped module — the bare prelude,
@@ -31,10 +46,12 @@
 //!   runnable, exactly as before the pass existed);
 //! * [`compile_source_entries`] / [`compile_with_prelude_entries`]
 //!   accept an explicit list — name the globals you intend to run, and
-//!   everything they cannot reach is dropped before lowering. An
-//!   exported-but-unused global survives elimination precisely by being
-//!   listed.
+//!   everything they cannot reach is dropped before optimisation and
+//!   lowering. An exported-but-unused global survives elimination
+//!   precisely by being listed.
 //!
+//! Elimination never skips a check: every binding, reachable or not,
+//! has passed the Core and levity checks before the optimizer runs.
 //! Running a global that elimination removed fails with the machine's
 //! ordinary `UnknownGlobal` error; `O0` never eliminates anything.
 
@@ -51,7 +68,7 @@ use levity_compile::opt::{optimise_program, OptLevel, OptReport};
 use levity_infer::elaborate::{elaborate_module, Elaborated};
 use levity_ir::levity::check_program_levity;
 use levity_ir::terms::Program;
-use levity_ir::typecheck::CoreError;
+use levity_ir::typecheck::{CoreError, TypeEnv};
 use levity_m::bytecode::BcProgram;
 use levity_m::compile::CodeProgram;
 use levity_m::env::EnvMachine;
@@ -62,7 +79,7 @@ use levity_m::verify::{VerifiedProgram, VerifyError};
 use levity_m::Engine;
 use levity_surface::parser::parse_module;
 
-use crate::prelude::PRELUDE;
+use crate::prelude::{PreludeSeed, PRELUDE};
 
 /// Where the pipeline rejected a program.
 #[derive(Debug)]
@@ -389,6 +406,18 @@ pub fn compile_source_entries(
     if levity_diags.has_errors() {
         return Err(PipelineError::Levity(levity_diags));
     }
+    compile_elaborated(elaborated, env, opt_level, entries)
+}
+
+/// The pipeline after the front end: an elaborated program that passed
+/// the Core and levity checks, with `env` the Core check's environment,
+/// optimised, lowered, compiled for every engine and verified.
+fn compile_elaborated(
+    elaborated: Elaborated,
+    env: TypeEnv,
+    opt_level: OptLevel,
+    entries: Option<&[&str]>,
+) -> Result<Compiled, PipelineError> {
     // Resolve the entry-point set against the elaborated program: the
     // optimizer may rename reachable code (specialised clones), but an
     // entry itself is always kept under its own name.
@@ -458,7 +487,10 @@ pub fn compile_source_entries(
     })
 }
 
-/// Compiles user source together with the [`PRELUDE`].
+/// Compiles user source together with the [`PRELUDE`]: the same
+/// result as compiling the prelude, a line break and `source` as one
+/// module, at the cost of the user's module (see [the module
+/// docs](self#the-prelude)).
 ///
 /// # Errors
 ///
@@ -506,6 +538,10 @@ pub fn compile_with_prelude_entries(
     opt_level: OptLevel,
     entries: Option<&[&str]>,
 ) -> Result<Compiled, PipelineError> {
+    if let Some(front) = PreludeSeed::get().and_then(|seed| seed.front_end(source)) {
+        let (elaborated, env) = front?;
+        return compile_elaborated(elaborated, env, opt_level, entries);
+    }
     let mut combined = String::with_capacity(PRELUDE.len() + source.len() + 1);
     combined.push_str(PRELUDE);
     combined.push('\n');

@@ -1,9 +1,154 @@
-//! The prelude, written in the surface language itself.
+//! The prelude, written in the surface language itself, and its
+//! once-per-process seed.
 //!
 //! Everything here elaborates through the ordinary pipeline — nothing is
 //! special-cased, which is the paper's own discipline (§2.1: `Int` is an
 //! ordinary ADT; §7.2: `($)` and `(.)` are ordinary levity-polymorphic
 //! functions; §7.3: `Num` is an ordinary class over `a :: TYPE r`).
+//!
+//! The §5.1 levity checks and the Core check judge one binding at a time
+//! against the global environment, so the prelude's verdict and its
+//! elaborated Core are the same for every module compiled after it. A
+//! seed built on first use holds them: a compilation with the prelude
+//! parses, elaborates and checks only the user's module on top of it,
+//! and gets the same result as compiling the concatenated source (GHC
+//! typechecks `base` once and loads its interface the same way).
+
+use std::sync::OnceLock;
+
+use levity_infer::elaborate::{Elaborated, ModuleSeed};
+use levity_ir::levity::{check_module_levity, check_program_levity};
+use levity_ir::terms::{Program, TopBind};
+use levity_ir::typecheck::{check_module, check_program, TypeEnv};
+use levity_surface::ast::Module;
+use levity_surface::parser::{parse_module, parse_module_continuing};
+
+use crate::pipeline::PipelineError;
+
+/// The prelude's front end, done once per process.
+///
+/// [`PreludeSeed::front_end`] is what a compilation with the prelude
+/// runs; its stages are public so they can be timed one by one.
+pub struct PreludeSeed {
+    /// The prelude elaborated, ready to elaborate a module after it.
+    elab: ModuleSeed,
+    /// The Core check's environment over the prelude.
+    env: TypeEnv,
+    /// The fresh-name counter after the prelude's front end. Every
+    /// seeded compilation restarts there: the prelude's Core may hold
+    /// names freshened below it.
+    fresh_mark: u64,
+    /// Where a user module starts in the concatenated source, in
+    /// characters: after the prelude and the line break that joins them.
+    offset: usize,
+}
+
+impl PreludeSeed {
+    /// The process's seed, built on first use; `None` if the prelude
+    /// does not compile cleanly (the concatenated path then reports why).
+    pub fn get() -> Option<&'static PreludeSeed> {
+        static SEED: OnceLock<Option<PreludeSeed>> = OnceLock::new();
+        SEED.get_or_init(PreludeSeed::build).as_ref()
+    }
+
+    fn build() -> Option<PreludeSeed> {
+        levity_ir::restart_fresh_names();
+        let module = parse_module(PRELUDE).ok()?;
+        let elab = ModuleSeed::new(&module).ok()?;
+        let env = check_program(elab.program()).ok()?;
+        if !check_program_levity(&env, elab.program()).is_empty() {
+            return None;
+        }
+        Some(PreludeSeed {
+            elab,
+            env,
+            fresh_mark: levity_ir::fresh_names_mark(),
+            offset: PRELUDE.chars().count() + 1,
+        })
+    }
+
+    /// The front end over `PRELUDE`, a line break and `source`, doing
+    /// the work for `source` alone: the elaborated program and the Core
+    /// check's environment, or the error the concatenation fails with.
+    /// `None` when `source` cannot follow the seed ([`Self::parse`] or
+    /// [`Self::elaborate`] declines it): compile the concatenation
+    /// instead.
+    pub fn front_end(&self, source: &str) -> Option<Result<(Elaborated, TypeEnv), PipelineError>> {
+        levity_ir::restart_fresh_names_at(self.fresh_mark);
+        let module = match self.parse(source)? {
+            Ok(module) => module,
+            Err(e) => return Some(Err(e)),
+        };
+        let elaborated = match self.elaborate(&module)? {
+            Ok(elaborated) => elaborated,
+            Err(e) => return Some(Err(e)),
+        };
+        let checked = self
+            .check(&elaborated)
+            .and_then(|env| self.check_levity(&env, &elaborated).map(|()| env));
+        Some(checked.map(|env| (elaborated, env)))
+    }
+
+    /// Parses `source` as the module after the prelude, its spans
+    /// counted in the concatenated source. `None` when its first token
+    /// is indented: it would continue the prelude's last declaration.
+    pub fn parse(&self, source: &str) -> Option<Result<Module, PipelineError>> {
+        parse_module_continuing(source, self.offset)
+            .map_err(PipelineError::Parse)
+            .transpose()
+    }
+
+    /// Elaborates `module` after the prelude. `None` when
+    /// [`ModuleSeed::elaborate`] declines it (it redeclares a name the
+    /// prelude binds, say).
+    pub fn elaborate(&self, module: &Module) -> Option<Result<Elaborated, PipelineError>> {
+        Some(
+            self.elab
+                .elaborate(module)?
+                .map_err(PipelineError::Elaborate),
+        )
+    }
+
+    /// The Core check of what the module adds to the prelude, its
+    /// datatypes and bindings, against the prelude's environment; the
+    /// environment over both.
+    pub fn check(&self, elaborated: &Elaborated) -> Result<TypeEnv, PipelineError> {
+        let program = &elaborated.program;
+        let data_decls = program
+            .data_decls
+            .iter()
+            .filter(|d| self.env.datatype(d.tycon.name).is_none());
+        let mut env = self.env.clone();
+        check_module(&mut env, data_decls, self.own_bindings(program))
+            .map_err(|(name, e)| PipelineError::CoreLint(name, e))?;
+        Ok(env)
+    }
+
+    /// The §5.1 levity checks of the module's bindings, with `env` the
+    /// environment [`Self::check`] returned.
+    pub fn check_levity(
+        &self,
+        env: &TypeEnv,
+        elaborated: &Elaborated,
+    ) -> Result<(), PipelineError> {
+        let diags = check_module_levity(env, self.own_bindings(&elaborated.program));
+        if diags.has_errors() {
+            return Err(PipelineError::Levity(diags));
+        }
+        Ok(())
+    }
+
+    /// The bindings the prelude does not define.
+    fn own_bindings<'a>(
+        &'a self,
+        program: &'a Program,
+    ) -> impl Iterator<Item = &'a TopBind> + Clone {
+        program
+            .bindings
+            .iter()
+            .filter(|b| self.env.global(b.name).is_none())
+    }
+}
 
 /// The prelude source code.
 pub const PRELUDE: &str = r#"

@@ -42,6 +42,6 @@ pub mod families;
 pub mod legacy;
 pub mod unify;
 
-pub use elaborate::{elaborate_module, ClassEnv, ClassInfo, Elaborated, InstanceInfo};
+pub use elaborate::{elaborate_module, ClassEnv, ClassInfo, Elaborated, InstanceInfo, ModuleSeed};
 pub use families::FamilyInfo;
 pub use unify::{Unifier, UnifyError};

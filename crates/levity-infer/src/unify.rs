@@ -55,7 +55,7 @@ impl std::fmt::Display for UnifyError {
 impl std::error::Error for UnifyError {}
 
 /// The unifier state: metavariable tables and a name supply.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Unifier {
     ty_solutions: HashMap<Symbol, Type>,
     rep_solutions: HashMap<Symbol, RepTy>,
@@ -73,6 +73,11 @@ impl Unifier {
     /// A fresh unifier.
     pub fn new() -> Unifier {
         Unifier::default()
+    }
+
+    /// The numbers the next type and representation metavariables get.
+    pub(crate) fn meta_counters(&self) -> (u64, u64) {
+        (self.next_ty, self.next_rep)
     }
 
     /// Is this symbol a type metavariable?

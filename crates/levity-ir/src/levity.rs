@@ -180,8 +180,19 @@ pub fn check_binding(env: &TypeEnv, bind: &TopBind, diags: &mut Diagnostics) {
 /// Checks a whole (already type-checked) program; returns all levity
 /// diagnostics.
 pub fn check_program_levity(env: &TypeEnv, prog: &Program) -> Diagnostics {
+    check_module_levity(env, &prog.bindings)
+}
+
+/// Checks one module's (already type-checked) bindings against `env`,
+/// which covers them and everything they refer to; returns all levity
+/// diagnostics. Each binding is judged on its own, so checking a
+/// program module by module gives [`check_program_levity`]'s verdict.
+pub fn check_module_levity<'a>(
+    env: &TypeEnv,
+    bindings: impl IntoIterator<Item = &'a TopBind>,
+) -> Diagnostics {
     let mut diags = Diagnostics::new();
-    for bind in &prog.bindings {
+    for bind in bindings {
         check_binding(env, bind, &mut diags);
     }
     diags

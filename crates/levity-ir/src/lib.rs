@@ -47,7 +47,9 @@ pub use builtin::{builtins, prim_signature, Builtins};
 pub use terms::{
     CoreAlt, CoreExpr, DataConInfo, DataDecl, LetKind, Program, TopBind, TyArg, TyParam,
 };
-pub use typecheck::{check_program, kind_of, type_of, CoreError, Scope, ScopeEntry, TypeEnv};
+pub use typecheck::{
+    check_module, check_program, kind_of, type_of, CoreError, Scope, ScopeEntry, TypeEnv,
+};
 pub use types::{TyCon, Type};
 
 thread_local! {
@@ -73,5 +75,23 @@ pub fn freshen(base: Symbol) -> Symbol {
 /// term built on this thread before it may be transformed after it. The
 /// driver restarts once per compilation, before parsing the source.
 pub fn restart_fresh_names() {
-    FRESH.with(|c| c.set(0));
+    restart_fresh_names_at(0);
+}
+
+/// This thread's [`freshen`] counter: the number the next fresh name
+/// gets. Read after building Core that later compilations reuse, it is
+/// the mark they must restart at ([`restart_fresh_names_at`]).
+pub fn fresh_names_mark() -> u64 {
+    FRESH.with(Cell::get)
+}
+
+/// Restarts this thread's [`freshen`] counter at `mark`.
+///
+/// The same hazard as [`restart_fresh_names`], bounded: names numbered
+/// below `mark` are never handed out again. The driver elaborates the
+/// prelude once per process and records the mark after it; every
+/// compilation that reuses the prelude's Core restarts here, not at
+/// zero, so no name freshened inside that Core is minted twice.
+pub fn restart_fresh_names_at(mark: u64) {
+    FRESH.with(|c| c.set(mark));
 }

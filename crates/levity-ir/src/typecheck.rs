@@ -17,7 +17,9 @@ use levity_core::symbol::Symbol;
 use levity_m::syntax::{Literal, PrimOp};
 
 use crate::builtin::{builtins, prim_signature, Builtins};
-use crate::terms::{CoreAlt, CoreExpr, DataConInfo, DataDecl, LetKind, Program, TyArg, TyParam};
+use crate::terms::{
+    CoreAlt, CoreExpr, DataConInfo, DataDecl, LetKind, Program, TopBind, TyArg, TyParam,
+};
 use crate::types::{TyCon, Type};
 
 /// A Core checking error.
@@ -754,17 +756,36 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
 /// The first [`CoreError`], annotated with the binding's name.
 pub fn check_program(prog: &Program) -> Result<TypeEnv, (Symbol, CoreError)> {
     let mut env = TypeEnv::new();
-    for decl in &prog.data_decls {
+    check_module(&mut env, &prog.data_decls, &prog.bindings)?;
+    Ok(env)
+}
+
+/// Checks one module's bindings against `env`, which already covers
+/// everything they refer to outside the module, and extends `env` with
+/// the module's datatypes and globals. [`check_program`] is this over
+/// an empty environment; checking a program module by module, each
+/// referring only to itself and the modules before it, gives the same
+/// verdict and the same final environment.
+///
+/// # Errors
+///
+/// The first [`CoreError`], annotated with the binding's name.
+pub fn check_module<'a>(
+    env: &mut TypeEnv,
+    data_decls: impl IntoIterator<Item = &'a Arc<DataDecl>>,
+    bindings: impl IntoIterator<Item = &'a TopBind> + Clone,
+) -> Result<(), (Symbol, CoreError)> {
+    for decl in data_decls {
         env.add_data_decl(Arc::clone(decl));
     }
     // Globals first: all top-level bindings are mutually recursive.
-    for bind in &prog.bindings {
+    for bind in bindings.clone() {
         env.define_global(bind.name, bind.ty.clone());
     }
-    for bind in &prog.bindings {
+    for bind in bindings {
         let mut scope = Scope::new();
-        kind_of(&env, &mut scope, &bind.ty).map_err(|e| (bind.name, e))?;
-        let actual = type_of(&env, &mut scope, &bind.expr).map_err(|e| (bind.name, e))?;
+        kind_of(env, &mut scope, &bind.ty).map_err(|e| (bind.name, e))?;
+        let actual = type_of(env, &mut scope, &bind.expr).map_err(|e| (bind.name, e))?;
         if !actual.alpha_eq(&bind.ty) {
             return Err((
                 bind.name,
@@ -775,7 +796,7 @@ pub fn check_program(prog: &Program) -> Result<TypeEnv, (Symbol, CoreError)> {
             ));
         }
     }
-    Ok(env)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use levity_core::symbol::Symbol;
 
 use crate::compile::{CAlt, CAtom, CJoin, Code, CodeProgram};
-use crate::machine::{MachineError, MachineStats, RunOutcome, Value};
+use crate::machine::{dangling, MachineError, MachineStats, RunOutcome, Value};
 use crate::prim::apply_prim;
 use crate::syntax::{Addr, Alt, Atom, Binder, JoinDef, Literal, MExpr};
 
@@ -368,11 +368,12 @@ impl<'p> EnvMachine<'p> {
     fn literal_of(&self, a: CAtom, env: &Env) -> Result<Literal, MachineError> {
         match self.resolve(a, env)? {
             Atom::Lit(l) => Ok(l),
-            Atom::Addr(addr) => match &self.heap[addr.0 as usize] {
-                ECell::Value(EValue::Lit(l)) => Ok(*l),
-                _ => Err(MachineError::InvalidState(format!(
+            Atom::Addr(addr) => match self.heap.get(addr.0 as usize) {
+                Some(ECell::Value(EValue::Lit(l))) => Ok(*l),
+                Some(_) => Err(MachineError::InvalidState(format!(
                     "primop argument at {addr} is not an evaluated literal"
                 ))),
+                None => Err(dangling(addr)),
             },
             Atom::Var(_) => unreachable!("resolved"),
         }
@@ -434,16 +435,16 @@ impl<'p> EnvMachine<'p> {
             Atom::Lit(l) => Ok(EControl::Ret(EValue::Lit(l))),
             Atom::Addr(a) => {
                 let ix = a.0 as usize;
-                match &self.heap[ix] {
+                match self.heap.get(ix) {
                     // VAL
-                    ECell::Value(w) => {
+                    Some(ECell::Value(w)) => {
                         self.stats.var_lookups += 1;
                         Ok(EControl::Ret(w.clone()))
                     }
                     // EVAL (with blackholing). Thunk bodies never jump
                     // to enclosing joins (lazy right-hand sides fail
                     // the escape analysis): fresh join scope.
-                    ECell::Thunk(code, env) => {
+                    Some(ECell::Thunk(code, env)) => {
                         self.stats.thunk_forces += 1;
                         let code = *code;
                         let env = env.clone();
@@ -451,7 +452,8 @@ impl<'p> EnvMachine<'p> {
                         self.push(EFrame::Force(a));
                         Ok(EControl::Eval(code, env, EJoinScope::nil()))
                     }
-                    ECell::Blackhole => Err(MachineError::Loop),
+                    Some(ECell::Blackhole) => Err(MachineError::Loop),
+                    None => Err(dangling(a)),
                 }
             }
             Atom::Var(_) => unreachable!("resolved"),

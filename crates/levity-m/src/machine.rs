@@ -398,6 +398,12 @@ pub enum MachineError {
     Unverified(Box<VerifyError>),
 }
 
+/// The error for an address the heap never allocated. Lowering never
+/// emits an address, so only a hand-built `M` term can name one.
+pub(crate) fn dangling(addr: Addr) -> MachineError {
+    MachineError::InvalidState(format!("dangling heap address {addr}"))
+}
+
 impl fmt::Display for MachineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -588,11 +594,12 @@ impl Machine {
     fn literal_of(&self, a: Atom) -> Result<Literal, MachineError> {
         match self.resolve(a)? {
             Atom::Lit(l) => Ok(l),
-            Atom::Addr(addr) => match &self.heap[addr.0 as usize] {
-                HeapCell::Value(Value::Lit(l)) => Ok(*l),
-                _ => Err(MachineError::InvalidState(format!(
+            Atom::Addr(addr) => match self.heap.get(addr.0 as usize) {
+                Some(HeapCell::Value(Value::Lit(l))) => Ok(*l),
+                Some(_) => Err(MachineError::InvalidState(format!(
                     "primop argument at {addr} is not an evaluated literal"
                 ))),
+                None => Err(dangling(addr)),
             },
             Atom::Var(_) => unreachable!("resolved"),
         }
@@ -652,23 +659,24 @@ impl Machine {
             MExpr::Atom(Atom::Lit(l)) => Ok(Control::Ret(Value::Lit(*l))),
             MExpr::Atom(Atom::Addr(a)) => {
                 let ix = a.0 as usize;
-                match &self.heap[ix] {
+                match self.heap.get(ix) {
                     // VAL
-                    HeapCell::Value(w) => {
+                    Some(HeapCell::Value(w)) => {
                         self.stats.var_lookups += 1;
                         Ok(Control::Ret(w.clone()))
                     }
                     // EVAL (with blackholing). A thunk body never jumps
                     // to an enclosing join (lazy right-hand sides fail
                     // the escape analysis), so it starts a fresh scope.
-                    HeapCell::Thunk(t1) => {
+                    Some(HeapCell::Thunk(t1)) => {
                         self.stats.thunk_forces += 1;
                         let t1 = Arc::clone(t1);
                         self.heap[ix] = HeapCell::Blackhole;
                         self.push(Frame::Force(*a));
                         Ok(Control::Eval(t1, JoinScope::nil()))
                     }
-                    HeapCell::Blackhole => Err(MachineError::Loop),
+                    Some(HeapCell::Blackhole) => Err(MachineError::Loop),
+                    None => Err(dangling(*a)),
                 }
             }
             MExpr::Atom(Atom::Var(x)) => Err(MachineError::UnboundVariable(*x)),

@@ -119,6 +119,28 @@ pub const MIXED_CORPUS: [CorpusProgram; 5] = [
     ALLOC_HEAVY,
 ];
 
+/// A chain module of `levels` definitions (at least one), each calling
+/// the one below it once through a primop, a class method at `Int#` or
+/// a branch, and a `main` calling the top one: the shape of the serving
+/// benchmark's cold-compile chain requests, whose inlining dominates
+/// cold-compile tails.
+pub fn chain_module(levels: u64) -> String {
+    let mut source = String::from("c0 :: Int# -> Int#\nc0 x = x +# 7#\n");
+    for j in 1..levels {
+        let (prev, a, b, t) = (j - 1, 1 + j * 7 % 50, j * 13 % 50, j * 37 % 200);
+        let body = match j % 3 {
+            0 => format!("c{prev} (x +# {a}#) -# {b}#"),
+            1 => format!("c{prev} (x - {a}#) + {b}#"),
+            _ => {
+                format!("c{prev} (case x <# {t}# of {{ 0# -> x -# {a}#; _ -> x +# {a}# }}) +# {b}#")
+            }
+        };
+        source.push_str(&format!("c{j} :: Int# -> Int#\nc{j} x = {body}\n"));
+    }
+    source.push_str(&format!("main :: Int#\nmain = c{} 5#\n", levels - 1));
+    source
+}
+
 /// Extracts the integer from an outcome, whether `main :: Int#`
 /// returned it raw or `main :: Int` returned it boxed.
 pub fn expected_int(outcome: &RunOutcome) -> Option<i64> {

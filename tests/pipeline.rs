@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: surface source through inference,
 //! dictionary elaboration, levity checks, lowering, and the machine.
 
-use levity::driver::compile_with_prelude;
+use levity::driver::{compile_with_prelude, PipelineError};
 use levity::m::machine::RunOutcome;
 
 const FUEL: u64 = 50_000_000;
@@ -100,6 +100,51 @@ fn fresh_names_restart_with_every_compilation() {
         first == again,
         "freshened names depend on earlier compilations"
     );
+}
+
+#[test]
+fn unreachable_bindings_are_pruned_before_the_optimizer_runs() {
+    // Nothing `main` cannot reach may cost optimizer work: the prelude's
+    // bindings are dropped before the passes, so a constant program
+    // inlines, simplifies and splits nothing.
+    let compiled = compile_with_prelude("main :: Int#\nmain = 3#\n").unwrap();
+    let report = compiled.opt_report;
+    assert_eq!(
+        (report.inlined, report.simplified, report.workers),
+        (0, 0, 0),
+        "{report:?}"
+    );
+    assert_eq!(
+        report.dead_globals,
+        compiled.elaborated.program.bindings.len() - 1,
+        "every binding but main is dropped"
+    );
+}
+
+#[test]
+fn pruning_does_not_skip_the_levity_checks() {
+    // `bad` binds a levity-polymorphic argument (§5.1); main never
+    // reaches it, but the module is still rejected.
+    let err = compile_with_prelude(
+        "bad :: forall (r :: Rep) (a :: TYPE r). a -> a\n\
+         bad x = x\n\
+         main :: Int#\n\
+         main = 3#\n",
+    )
+    .unwrap_err();
+    assert!(matches!(err, PipelineError::Levity(_)), "{err}");
+}
+
+#[test]
+fn pruning_does_not_skip_type_checking() {
+    let err = compile_with_prelude(
+        "bad :: Int#\n\
+         bad = True\n\
+         main :: Int#\n\
+         main = 3#\n",
+    )
+    .unwrap_err();
+    assert!(matches!(err, PipelineError::Elaborate(_)), "{err}");
 }
 
 #[test]

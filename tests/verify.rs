@@ -27,7 +27,7 @@ use levity::driver::OptLevel;
 use levity::m::bytecode::{BDefault, Chunk, Instr, PSrc, Src, WSrc};
 use levity::m::machine::MachineError;
 use levity::m::regmachine::BcMachine;
-use levity::m::syntax::{Addr, Atom, Binder, Literal, MExpr};
+use levity::m::syntax::{Addr, Atom, Binder, Literal, MExpr, PrimOp};
 use levity::m::verify::{verify, VerifyErrorKind};
 use levity::m::{BcProgram, Engine};
 
@@ -451,6 +451,30 @@ fn an_address_constant_entry_is_a_structured_error_not_a_run() {
         matches!(&err, MachineError::Unverified(e) if **e == rejected),
         "{err}"
     );
+}
+
+#[test]
+fn a_dangling_address_is_a_structured_error_on_the_tree_engines() {
+    // The tree engines run unverified terms, so they must meet a raw
+    // address the heap never allocated with an error, not a panic: as
+    // the entry term itself, and as a primop argument.
+    let compiled = compile_with_prelude_opt("main :: Int#\nmain = 0#\n", OptLevel::O2).unwrap();
+    let entry = Arc::new(MExpr::Atom(Atom::Addr(Addr(7))));
+    let prim = Arc::new(MExpr::Prim(
+        PrimOp::AddI,
+        vec![Atom::Addr(Addr(7)), Atom::Lit(Literal::Int(1))],
+    ));
+    for engine in [Engine::Subst, Engine::Env] {
+        for t in [&entry, &prim] {
+            let err = compiled
+                .run_term_with_engine(Arc::clone(t), FUEL, engine)
+                .unwrap_err();
+            assert!(
+                matches!(&err, MachineError::InvalidState(msg) if msg.contains("dangling")),
+                "{engine:?} on {t:?}: {err}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
