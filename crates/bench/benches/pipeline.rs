@@ -55,8 +55,8 @@ struct Stages {
 
 fn run_stages(seed: &PreludeSeed, source: String) -> Stages {
     let entries: HashSet<Symbol> = [Symbol::intern("main")].into();
-    let module = seed.parse(&source).expect("follows the seed").unwrap();
-    let (elaborated, checked) = seed.front_end(&source).expect("follows the seed").unwrap();
+    let module = seed.parse(&source).unwrap();
+    let (elaborated, checked) = seed.front_end(&source).unwrap();
     let fresh_mark = levity_ir::fresh_names_mark();
     let (program, _, env) = optimise_program(&elaborated.program, Some(&entries)).unwrap();
     let globals = lower_program(&env, &program).unwrap();
@@ -77,7 +77,7 @@ fn run_stages(seed: &PreludeSeed, source: String) -> Stages {
 }
 
 fn bench_pipeline(c: &mut Criterion) {
-    let seed = PreludeSeed::get().expect("the prelude compiles");
+    let seed = PreludeSeed::get().unwrap();
     let sources: Vec<String> = MIXED_CORPUS
         .iter()
         .map(|p| p.source.to_string())

@@ -78,6 +78,9 @@ pub enum ErrorCode {
     Parse,
     /// Unbound variable / constructor / type.
     Scope,
+    /// A top-level name declared twice, or one already in scope
+    /// redeclared.
+    Duplicate,
     /// Ordinary type mismatch.
     TypeMismatch,
     /// Kind mismatch (e.g. instantiating `forall (a :: Type)` at `Int#`,
@@ -109,6 +112,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::Lex => "E-lex",
             ErrorCode::Parse => "E-parse",
             ErrorCode::Scope => "E-scope",
+            ErrorCode::Duplicate => "E-duplicate",
             ErrorCode::TypeMismatch => "E-type",
             ErrorCode::KindMismatch => "E-kind",
             ErrorCode::OccursCheck => "E-occurs",
@@ -247,11 +251,6 @@ impl Diagnostics {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Consumes the sink, returning the diagnostics.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
     }
 }
 

@@ -98,12 +98,6 @@ impl Rep {
         matches!(self, Rep::Lifted)
     }
 
-    /// Is a value of this representation stored directly, not behind a
-    /// pointer?
-    pub fn is_unboxed(&self) -> bool {
-        !self.is_boxed()
-    }
-
     /// The register slots that hold a value of this representation, in
     /// order.
     ///

@@ -139,11 +139,6 @@ impl NameSupply {
         self.next += 1;
         Symbol::intern(&format!("{prefix}${n}"))
     }
-
-    /// Number of names handed out so far.
-    pub fn names_issued(&self) -> u64 {
-        self.next
-    }
 }
 
 /// A `HashMap` keyed by [`Symbol`] with a multiplicative hasher.
@@ -230,7 +225,6 @@ mod tests {
         let c = supply.fresh("u");
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert_eq!(supply.names_issued(), 3);
     }
 
     #[test]

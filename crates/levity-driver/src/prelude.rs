@@ -6,22 +6,26 @@
 //! ordinary ADT; §7.2: `($)` and `(.)` are ordinary levity-polymorphic
 //! functions; §7.3: `Num` is an ordinary class over `a :: TYPE r`).
 //!
-//! The §5.1 levity checks and the Core check judge one binding at a time
-//! against the global environment, so the prelude's verdict and its
-//! elaborated Core are the same for every module compiled after it. A
-//! seed built on first use holds them: a compilation with the prelude
-//! parses, elaborates and checks only the user's module on top of it,
-//! and gets the same result as compiling the concatenated source (GHC
-//! typechecks `base` once and loads its interface the same way).
+//! A module compiled with the prelude is compiled *after* it, the way
+//! GHC compiles a module against `base`, which it typechecked once and
+//! loads as an interface. The prelude is parsed, elaborated and checked
+//! once per process, on first use, and that seed holds the result: a
+//! compilation parses, elaborates and checks only its own module, in
+//! the scope of everything the prelude binds. The module may not
+//! redeclare a prelude name, whatever its kind (`E-duplicate`), and its
+//! diagnostics' spans are offsets into its own source. The §5.1 levity
+//! checks and the Core check judge one binding at a time against the
+//! global environment, so checking the module's own bindings against
+//! the prelude's environment gives the whole program's verdict.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use levity_infer::elaborate::{Elaborated, ModuleSeed};
 use levity_ir::levity::{check_module_levity, check_program_levity};
-use levity_ir::terms::{Program, TopBind};
+use levity_ir::terms::{DataDecl, Program, TopBind};
 use levity_ir::typecheck::{check_module, check_program, TypeEnv};
 use levity_surface::ast::Module;
-use levity_surface::parser::{parse_module, parse_module_continuing};
+use levity_surface::parser::parse_module;
 
 use crate::pipeline::PipelineError;
 
@@ -38,88 +42,70 @@ pub struct PreludeSeed {
     /// seeded compilation restarts there: the prelude's Core may hold
     /// names freshened below it.
     fresh_mark: u64,
-    /// Where a user module starts in the concatenated source, in
-    /// characters: after the prelude and the line break that joins them.
-    offset: usize,
 }
 
 impl PreludeSeed {
-    /// The process's seed, built on first use; `None` if the prelude
-    /// does not compile cleanly (the concatenated path then reports why).
-    pub fn get() -> Option<&'static PreludeSeed> {
-        static SEED: OnceLock<Option<PreludeSeed>> = OnceLock::new();
-        SEED.get_or_init(PreludeSeed::build).as_ref()
+    /// The process's seed, built on first use; or the prelude's own
+    /// error if it does not compile, a bug in the prelude that every
+    /// compilation with it then reports.
+    pub fn get() -> Result<&'static PreludeSeed, PipelineError> {
+        static SEED: OnceLock<Result<PreludeSeed, PipelineError>> = OnceLock::new();
+        SEED.get_or_init(PreludeSeed::build)
+            .as_ref()
+            .map_err(PipelineError::clone)
     }
 
-    fn build() -> Option<PreludeSeed> {
+    fn build() -> Result<PreludeSeed, PipelineError> {
         levity_ir::restart_fresh_names();
-        let module = parse_module(PRELUDE).ok()?;
-        let elab = ModuleSeed::new(&module).ok()?;
-        let env = check_program(elab.program()).ok()?;
-        if !check_program_levity(&env, elab.program()).is_empty() {
-            return None;
+        let module = parse_module(PRELUDE).map_err(PipelineError::Parse)?;
+        let elab = ModuleSeed::new(&module).map_err(PipelineError::Elaborate)?;
+        let env =
+            check_program(elab.program()).map_err(|(name, e)| PipelineError::CoreLint(name, e))?;
+        let levity = check_program_levity(&env, elab.program());
+        if levity.has_errors() {
+            return Err(PipelineError::Levity(levity));
         }
-        Some(PreludeSeed {
+        Ok(PreludeSeed {
             elab,
             env,
             fresh_mark: levity_ir::fresh_names_mark(),
-            offset: PRELUDE.chars().count() + 1,
         })
     }
 
-    /// The front end over `PRELUDE`, a line break and `source`, doing
-    /// the work for `source` alone: the elaborated program and the Core
-    /// check's environment, or the error the concatenation fails with.
-    /// `None` when `source` cannot follow the seed ([`Self::parse`] or
-    /// [`Self::elaborate`] declines it): compile the concatenation
-    /// instead.
-    pub fn front_end(&self, source: &str) -> Option<Result<(Elaborated, TypeEnv), PipelineError>> {
+    /// The front end of `source` compiled after the prelude: the
+    /// elaborated program, the prelude's followed by the module's, and
+    /// the Core check's environment over both; or the first stage's
+    /// error, its spans offsets into `source`.
+    pub fn front_end(&self, source: &str) -> Result<(Elaborated, TypeEnv), PipelineError> {
         levity_ir::restart_fresh_names_at(self.fresh_mark);
-        let module = match self.parse(source)? {
-            Ok(module) => module,
-            Err(e) => return Some(Err(e)),
-        };
-        let elaborated = match self.elaborate(&module)? {
-            Ok(elaborated) => elaborated,
-            Err(e) => return Some(Err(e)),
-        };
-        let checked = self
-            .check(&elaborated)
-            .and_then(|env| self.check_levity(&env, &elaborated).map(|()| env));
-        Some(checked.map(|env| (elaborated, env)))
+        let module = self.parse(source)?;
+        let elaborated = self.elaborate(&module)?;
+        let env = self.check(&elaborated)?;
+        self.check_levity(&env, &elaborated)?;
+        Ok((elaborated, env))
     }
 
-    /// Parses `source` as the module after the prelude, its spans
-    /// counted in the concatenated source. `None` when its first token
-    /// is indented: it would continue the prelude's last declaration.
-    pub fn parse(&self, source: &str) -> Option<Result<Module, PipelineError>> {
-        parse_module_continuing(source, self.offset)
-            .map_err(PipelineError::Parse)
-            .transpose()
+    /// Parses `source` as a module of its own.
+    pub fn parse(&self, source: &str) -> Result<Module, PipelineError> {
+        parse_module(source).map_err(PipelineError::Parse)
     }
 
-    /// Elaborates `module` after the prelude. `None` when
-    /// [`ModuleSeed::elaborate`] declines it (it redeclares a name the
-    /// prelude binds, say).
-    pub fn elaborate(&self, module: &Module) -> Option<Result<Elaborated, PipelineError>> {
-        Some(
-            self.elab
-                .elaborate(module)?
-                .map_err(PipelineError::Elaborate),
-        )
+    /// Elaborates `module` after the prelude (see
+    /// [`ModuleSeed::elaborate`]): each declaration that redeclares a
+    /// prelude name is an `E-duplicate` error.
+    pub fn elaborate(&self, module: &Module) -> Result<Elaborated, PipelineError> {
+        self.elab
+            .elaborate(module)
+            .map_err(PipelineError::Elaborate)
     }
 
     /// The Core check of what the module adds to the prelude, its
     /// datatypes and bindings, against the prelude's environment; the
-    /// environment over both.
+    /// environment over both. `elaborated` is [`Self::elaborate`]'s.
     pub fn check(&self, elaborated: &Elaborated) -> Result<TypeEnv, PipelineError> {
-        let program = &elaborated.program;
-        let data_decls = program
-            .data_decls
-            .iter()
-            .filter(|d| self.env.datatype(d.tycon.name).is_none());
+        let (data_decls, bindings) = self.own(&elaborated.program);
         let mut env = self.env.clone();
-        check_module(&mut env, data_decls, self.own_bindings(program))
+        check_module(&mut env, data_decls, bindings)
             .map_err(|(name, e)| PipelineError::CoreLint(name, e))?;
         Ok(env)
     }
@@ -131,22 +117,21 @@ impl PreludeSeed {
         env: &TypeEnv,
         elaborated: &Elaborated,
     ) -> Result<(), PipelineError> {
-        let diags = check_module_levity(env, self.own_bindings(&elaborated.program));
+        let diags = check_module_levity(env, self.own(&elaborated.program).1);
         if diags.has_errors() {
             return Err(PipelineError::Levity(diags));
         }
         Ok(())
     }
 
-    /// The bindings the prelude does not define.
-    fn own_bindings<'a>(
-        &'a self,
-        program: &'a Program,
-    ) -> impl Iterator<Item = &'a TopBind> + Clone {
-        program
-            .bindings
-            .iter()
-            .filter(|b| self.env.global(b.name).is_none())
+    /// The module's own datatypes and bindings: what follows the
+    /// prelude's in a program [`Self::elaborate`] returned.
+    fn own<'a>(&self, program: &'a Program) -> (&'a [Arc<DataDecl>], &'a [TopBind]) {
+        let prelude = self.elab.program();
+        (
+            &program.data_decls[prelude.data_decls.len()..],
+            &program.bindings[prelude.bindings.len()..],
+        )
     }
 }
 

@@ -5,8 +5,6 @@
 //! polymorphism" applied to signatures — levity polymorphism must be
 //! *declared* with an explicit `forall (r :: Rep) (a :: TYPE r)`).
 
-use std::collections::HashMap;
-
 use levity_core::diag::{Diagnostic, ErrorCode, Span};
 use levity_core::kind::Kind;
 use levity_core::rep::{Rep, RepTy};
@@ -340,11 +338,6 @@ fn collect_free_ty_vars(sty: &SType, scope: &mut ConvScope, out: &mut Vec<Symbol
             collect_free_ty_vars(body, scope, out);
         }
     }
-}
-
-/// A map of known class names, passed as a closure to conversion.
-pub fn class_checker(map: &HashMap<Symbol, impl Sized>) -> impl Fn(Symbol) -> bool + '_ {
-    move |name| map.contains_key(&name)
 }
 
 #[cfg(test)]

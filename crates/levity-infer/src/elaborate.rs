@@ -13,7 +13,7 @@
 //!   record datatypes, methods become selectors, and instances become
 //!   top-level dictionary values, exactly as §7.3 describes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use levity_core::diag::{Diagnostic, Diagnostics, ErrorCode, Span};
@@ -2057,182 +2057,115 @@ fn replace_vars(e: CoreExpr, map: &HashMap<Symbol, CoreExpr>) -> CoreExpr {
 /// All diagnostics accumulated during elaboration (at least one error).
 pub fn elaborate_module(module: &Module) -> Result<Elaborated, Diagnostics> {
     let mut el = Elaborator::new();
-    let mut st = PassState::default();
-    for pass in 0..PASSES {
-        el.run_pass(pass, module, &mut st);
-    }
+    el.elaborate_decls(module, |_| false);
     el.finish()
 }
 
-/// Elaboration makes this many passes over a module, each over one kind
-/// of declaration (see [`Elaborator::run_pass`]), so a declaration may
-/// use anything an earlier pass declared wherever it stands in the
-/// source.
-const PASSES: usize = 7;
-
-/// What a pass leaves for a later one.
-#[derive(Default)]
-struct PassState<'m> {
-    /// Declared signatures, by binding name.
-    sigs: HashMap<Symbol, Type>,
-    /// Registered instance headers, for the bodies' pass: class, dictionary
-    /// global, head type, head representation, methods and span.
-    instances: Vec<InstanceHeader<'m>>,
-}
-
-type InstanceHeader<'m> = (
-    Symbol,
-    Symbol,
-    Type,
-    RepTy,
-    &'m [(Symbol, Vec<SPat>, SExpr)],
-    Span,
-);
-
-/// The counters fresh names and metavariables are numbered from: names,
-/// type metavariables, representation metavariables.
-type Counters = [u64; 3];
-
-fn add(a: Counters, b: Counters) -> Counters {
-    std::array::from_fn(|i| a[i] + b[i])
-}
-
-fn sub(a: Counters, b: Counters) -> Counters {
-    std::array::from_fn(|i| a[i] - b[i])
-}
-
-/// Where a pass left the elaborator: its counters and the lengths of its
-/// program's datatype and binding lists.
-#[derive(Clone, Copy, Debug, Default)]
-struct PassMark {
-    counters: Counters,
-    data_decls: usize,
-    bindings: usize,
-}
-
 impl Elaborator {
-    /// Runs pass `pass` over the module's declarations.
-    fn run_pass<'m>(&mut self, pass: usize, module: &'m Module, st: &mut PassState<'m>) {
-        match pass {
-            // Pass 0: datatypes.
-            0 => {
-                for decl in &module.decls {
-                    if let SDecl::Data {
-                        name,
-                        params,
-                        cons,
-                        span,
-                    } = decl
-                    {
-                        self.process_data(*name, params, cons, *span);
-                    }
+    /// Elaborates `module`'s declarations after everything the
+    /// elaborator already holds, in seven passes, each over one kind of
+    /// declaration, so a declaration may use anything an earlier pass
+    /// declared wherever it stands in the source.
+    ///
+    /// A module that redeclares a name, one `in_scope` holds for or one
+    /// it declares twice in the same namespace, gets an `E-duplicate`
+    /// error per redeclaration and is not elaborated.
+    fn elaborate_decls(&mut self, module: &Module, in_scope: impl Fn(Symbol) -> bool) {
+        let redeclared = redeclarations(module, in_scope);
+        if !redeclared.is_empty() {
+            for d in redeclared {
+                self.diag(d);
+            }
+            return;
+        }
+        // Pass 0: datatypes.
+        for decl in &module.decls {
+            if let SDecl::Data {
+                name,
+                params,
+                cons,
+                span,
+            } = decl
+            {
+                self.process_data(*name, params, cons, *span);
+            }
+        }
+        // Pass 1: type families (§7.1): standalone representation checking.
+        for decl in &module.decls {
+            if let SDecl::TypeFamily {
+                name,
+                param,
+                result_kind,
+                equations,
+                span,
+            } = decl
+            {
+                match check_family(&self.env, *name, *param, result_kind, equations, *span) {
+                    Ok(info) => self.families.push(info),
+                    Err(d) => self.diag(d),
                 }
             }
-            // Pass 1: type families (§7.1): standalone representation
-            // checking.
-            1 => {
-                for decl in &module.decls {
-                    if let SDecl::TypeFamily {
-                        name,
-                        param,
-                        result_kind,
-                        equations,
-                        span,
-                    } = decl
-                    {
-                        match check_family(&self.env, *name, *param, result_kind, equations, *span)
-                        {
-                            Ok(info) => self.families.push(info),
-                            Err(d) => self.diag(d),
-                        }
+        }
+        // Pass 2: classes (§7.3).
+        for decl in &module.decls {
+            if let SDecl::Class {
+                name,
+                var,
+                var_kind,
+                methods,
+                span,
+            } = decl
+            {
+                self.process_class(*name, *var, var_kind, methods, *span);
+            }
+        }
+        // Pass 3: signatures.
+        let mut sigs: HashMap<Symbol, Type> = HashMap::new();
+        for decl in &module.decls {
+            if let SDecl::Sig { name, ty, span } = decl {
+                match self.convert_sig(ty, *span) {
+                    Ok(t) => {
+                        self.env.define_global(*name, t.clone());
+                        sigs.insert(*name, t);
                     }
+                    Err(d) => self.diag(d),
                 }
             }
-            // Pass 2: classes (§7.3).
-            2 => {
-                for decl in &module.decls {
-                    if let SDecl::Class {
-                        name,
-                        var,
-                        var_kind,
-                        methods,
-                        span,
-                    } = decl
-                    {
-                        self.process_class(*name, *var, var_kind, methods, *span);
-                    }
-                }
-            }
-            // Pass 3: signatures.
-            3 => {
-                for decl in &module.decls {
-                    if let SDecl::Sig { name, ty, span } = decl {
-                        match self.convert_sig(ty, *span) {
-                            Ok(t) => {
-                                self.env.define_global(*name, t.clone());
-                                st.sigs.insert(*name, t);
-                            }
-                            Err(d) => self.diag(d),
-                        }
-                    }
-                }
-            }
-            // Pass 4: instance headers, so every value binding can
-            // resolve every instance.
-            4 => {
-                for decl in &module.decls {
-                    if let SDecl::Instance {
-                        class,
-                        head,
-                        methods,
-                        span,
-                    } = decl
-                    {
-                        if let Some((dict_global, head_ty, head_rep)) =
-                            self.register_instance_header(*class, head, *span)
-                        {
-                            st.instances.push((
-                                *class,
-                                dict_global,
-                                head_ty,
-                                head_rep,
-                                methods,
-                                *span,
-                            ));
-                        }
-                    }
-                }
-            }
-            // Pass 5: value bindings in source order.
-            5 => {
-                for decl in &module.decls {
-                    if let SDecl::Bind {
-                        name,
-                        params,
-                        body,
-                        span,
-                    } = decl
-                    {
-                        let sig = st.sigs.get(name).cloned();
-                        self.elaborate_top_bind(*name, params, body, sig.as_ref(), *span);
-                    }
-                }
-            }
-            // Pass 6: instance bodies.
-            _ => {
-                for (class, dict_global, head_ty, head_rep, methods, span) in
-                    std::mem::take(&mut st.instances)
+        }
+        // Pass 4: instance headers, so every value binding can resolve
+        // every instance.
+        let mut instance_headers = Vec::new();
+        for decl in &module.decls {
+            if let SDecl::Instance {
+                class,
+                head,
+                methods,
+                span,
+            } = decl
+            {
+                if let Some((dict_global, head_ty, head_rep)) =
+                    self.register_instance_header(*class, head, *span)
                 {
-                    self.elaborate_instance_bodies(
-                        class,
-                        dict_global,
-                        head_ty,
-                        head_rep,
-                        methods,
-                        span,
-                    );
+                    instance_headers.push((*class, dict_global, head_ty, head_rep, methods, *span));
                 }
             }
+        }
+        // Pass 5: value bindings in source order.
+        for decl in &module.decls {
+            if let SDecl::Bind {
+                name,
+                params,
+                body,
+                span,
+            } = decl
+            {
+                let sig = sigs.get(name).cloned();
+                self.elaborate_top_bind(*name, params, body, sig.as_ref(), *span);
+            }
+        }
+        // Pass 6: instance bodies.
+        for (class, dict_global, head_ty, head_rep, methods, span) in instance_headers {
+            self.elaborate_instance_bodies(class, dict_global, head_ty, head_rep, methods, span);
         }
     }
 
@@ -2249,38 +2182,24 @@ impl Elaborator {
             warnings: self.diags,
         })
     }
-
-    fn mark(&self) -> PassMark {
-        let (ty_metas, rep_metas) = self.unifier.meta_counters();
-        PassMark {
-            counters: [self.supply.names_issued(), ty_metas, rep_metas],
-            data_decls: self.program.data_decls.len(),
-            bindings: self.program.bindings.len(),
-        }
-    }
 }
 
-/// A module elaborated once, to be continued by the modules that follow
-/// it in one source: the driver elaborates the prelude this way once per
-/// process instead of in front of every module it compiles.
+/// A module elaborated once, for later modules to be elaborated after
+/// it: the driver elaborates the prelude this way once per process, and
+/// every module it compiles with the prelude after it.
 ///
-/// [`ModuleSeed::elaborate`] returns exactly what [`elaborate_module`]
-/// returns for the seed's source followed by the module's: the same
-/// bindings in the same order, the same datatypes, environments and
-/// diagnostics, and fresh names and metavariables numbered alike. Every
-/// pass handles the seed's declarations before the module's, so that
-/// holds unless the module redeclares a name the seed binds or uses (the
-/// seed's elaboration would have looked it up), or the module's earlier
-/// passes would move the numbering of the seed's later ones. Those
-/// modules are declined.
+/// A module elaborated after the seed sees every name the seed binds
+/// and may redeclare none of them: each declaration that does is an
+/// `E-duplicate` error. Its program is the seed's program followed by
+/// its own datatypes and bindings, its fresh names and metavariables
+/// continue the seed's numbering, and its diagnostics' spans point into
+/// its own source.
 #[derive(Debug)]
 pub struct ModuleSeed {
-    /// The elaborator after the seed's last pass, its program moved out.
+    /// The elaborator after the seed, its program moved out.
     el: Elaborator,
     /// The seed's own program.
     program: Program,
-    /// Where each pass left the seed.
-    marks: [PassMark; PASSES],
 }
 
 impl ModuleSeed {
@@ -2288,22 +2207,16 @@ impl ModuleSeed {
     ///
     /// # Errors
     ///
-    /// Every diagnostic, if there is any, warnings included: where a
-    /// seed's warning falls among a later module's diagnostics depends
-    /// on the pass that raised it, so a seed must elaborate cleanly.
+    /// All diagnostics accumulated during elaboration (at least one
+    /// error).
     pub fn new(module: &Module) -> Result<ModuleSeed, Diagnostics> {
         let mut el = Elaborator::new();
-        let mut st = PassState::default();
-        let mut marks = [PassMark::default(); PASSES];
-        for (pass, mark) in marks.iter_mut().enumerate() {
-            el.run_pass(pass, module, &mut st);
-            *mark = el.mark();
-        }
-        if !el.diags.is_empty() {
+        el.elaborate_decls(module, |_| false);
+        if el.diags.has_errors() {
             return Err(el.diags);
         }
         let program = std::mem::take(&mut el.program);
-        Ok(ModuleSeed { el, program, marks })
+        Ok(ModuleSeed { el, program })
     }
 
     /// The seed's elaborated program.
@@ -2325,93 +2238,88 @@ impl ModuleSeed {
             || name == el.error_name
     }
 
-    /// Elaborates `module` as if it followed the seed in one source, on
-    /// a clone of the seed's elaborator. `None` when the result could
-    /// differ from elaborating the concatenated source — `module`
-    /// declares a name the seed binds or uses (a global, type, data
-    /// constructor, class, type family, primop or `error`), or draws
-    /// fresh names before a pass in which the seed draws from the same
-    /// counter: elaborate the concatenation instead.
-    pub fn elaborate(&self, module: &Module) -> Option<Result<Elaborated, Diagnostics>> {
-        if module
-            .decls
-            .iter()
-            .any(|d| declared_names(d).into_iter().any(|n| self.binds(n)))
-        {
-            return None;
-        }
+    /// Elaborates `module` after the seed, on a clone of the seed's
+    /// elaborator.
+    ///
+    /// # Errors
+    ///
+    /// All diagnostics accumulated during elaboration (at least one
+    /// error). A module that redeclares a name the seed binds or uses (a
+    /// global, type, data constructor, class, type family, primop or
+    /// `error`) gets an `E-duplicate` error per redeclaration and is not
+    /// elaborated.
+    pub fn elaborate(&self, module: &Module) -> Result<Elaborated, Diagnostics> {
         let mut el = self.el.clone();
-        let mut st = PassState::default();
-        let mut seed_at: Counters = [0; 3];
-        let mut drawn: Counters = [0; 3];
-        let mut marks = [PassMark::default(); PASSES];
-        for (pass, mark) in marks.iter_mut().enumerate() {
-            // In the concatenated source the seed's share of this pass
-            // comes after the module's share of the passes before it, so
-            // the seed's numbering is its own only if those drew nothing
-            // from a counter this share draws from. When they did not,
-            // every counter the module draws from has seen its last seed
-            // draw, and the module's names continue from the seed's.
-            // (The prelude draws dictionary binders in the class pass and
-            // metavariables in the binding pass; no module draws either
-            // in an earlier pass.)
-            let seed_drew = sub(self.marks[pass].counters, seed_at);
-            if (0..3).any(|c| seed_drew[c] > 0 && drawn[c] > 0) {
-                return None;
-            }
-            seed_at = self.marks[pass].counters;
-            let start = el.mark().counters;
-            el.run_pass(pass, module, &mut st);
-            *mark = el.mark();
-            drawn = add(drawn, sub(mark.counters, start));
-        }
+        el.elaborate_decls(module, |name| self.binds(name));
         let own = std::mem::take(&mut el.program);
-        el.program = self.interleave(own, &marks);
-        Some(el.finish())
-    }
-
-    /// The program of the concatenated source: pass by pass, what the
-    /// seed's share of the pass added, then what the module's added.
-    fn interleave(&self, own: Program, own_marks: &[PassMark; PASSES]) -> Program {
-        let mut out = Program {
-            data_decls: Vec::with_capacity(self.program.data_decls.len() + own.data_decls.len()),
-            bindings: Vec::with_capacity(self.program.bindings.len() + own.bindings.len()),
+        el.program = Program {
+            data_decls: [&self.program.data_decls[..], &own.data_decls].concat(),
+            bindings: [&self.program.bindings[..], &own.bindings].concat(),
         };
-        let mut own_data = own.data_decls.into_iter();
-        let mut own_bindings = own.bindings.into_iter();
-        let (mut seed_at, mut own_at) = (PassMark::default(), PassMark::default());
-        for (seed, own) in self.marks.iter().zip(own_marks) {
-            out.data_decls
-                .extend_from_slice(&self.program.data_decls[seed_at.data_decls..seed.data_decls]);
-            out.bindings
-                .extend_from_slice(&self.program.bindings[seed_at.bindings..seed.bindings]);
-            out.data_decls
-                .extend(own_data.by_ref().take(own.data_decls - own_at.data_decls));
-            out.bindings
-                .extend(own_bindings.by_ref().take(own.bindings - own_at.bindings));
-            (seed_at, own_at) = (*seed, *own);
-        }
-        out
+        el.finish()
     }
 }
 
-/// The names a declaration binds at top level, a datatype's
-/// constructors and a class's methods and dictionary constructor
-/// included. An instance binds nothing a module can name.
-fn declared_names(decl: &SDecl) -> Vec<Symbol> {
+/// Where a top-level name lives: two declarations clash only when they
+/// declare the same name in the same namespace.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Namespace {
+    /// Value bindings and class methods.
+    Value,
+    /// Type signatures.
+    Signature,
+    /// Datatypes, classes and type families.
+    Type,
+    /// Data constructors, classes' dictionary constructors included.
+    Constructor,
+}
+
+/// The names a declaration binds at top level, each in its namespace: a
+/// datatype's constructors and a class's methods and dictionary
+/// constructor included. An instance binds nothing a module can name.
+fn declared_names(decl: &SDecl) -> Vec<(Namespace, Symbol)> {
     match decl {
-        SDecl::Data { name, cons, .. } => std::iter::once(*name)
-            .chain(cons.iter().map(|(c, _)| *c))
+        SDecl::Data { name, cons, .. } => std::iter::once((Namespace::Type, *name))
+            .chain(cons.iter().map(|(c, _)| (Namespace::Constructor, *c)))
             .collect(),
-        SDecl::Sig { name, .. } | SDecl::Bind { name, .. } | SDecl::TypeFamily { name, .. } => {
-            vec![*name]
-        }
-        SDecl::Class { name, methods, .. } => [*name, dict_con_name(*name)]
-            .into_iter()
-            .chain(methods.iter().map(|(m, _)| *m))
-            .collect(),
+        SDecl::Sig { name, .. } => vec![(Namespace::Signature, *name)],
+        SDecl::Bind { name, .. } => vec![(Namespace::Value, *name)],
+        SDecl::TypeFamily { name, .. } => vec![(Namespace::Type, *name)],
+        SDecl::Class { name, methods, .. } => [
+            (Namespace::Type, *name),
+            (Namespace::Constructor, dict_con_name(*name)),
+        ]
+        .into_iter()
+        .chain(methods.iter().map(|(m, _)| (Namespace::Value, *m)))
+        .collect(),
         SDecl::Instance { .. } => Vec::new(),
     }
+}
+
+/// One `E-duplicate` error, at the declaration, for every name a
+/// declaration of `module` redeclares: one `in_scope` holds for,
+/// whatever its namespace, or one an earlier declaration of `module`
+/// declared in the same namespace.
+fn redeclarations(module: &Module, in_scope: impl Fn(Symbol) -> bool) -> Vec<Diagnostic> {
+    let mut declared = HashSet::new();
+    let mut out = Vec::new();
+    for decl in &module.decls {
+        for (namespace, name) in declared_names(decl) {
+            let message = if in_scope(name) {
+                format!("`{name}` is already in scope and cannot be redeclared")
+            } else if !declared.insert((namespace, name)) {
+                format!("`{name}` is declared twice")
+            } else {
+                continue;
+            };
+            out.push(Diagnostic::error(
+                ErrorCode::Duplicate,
+                message,
+                decl.span(),
+            ));
+        }
+    }
+    out
 }
 
 /// The constructor of class `class`'s dictionary datatype (§7.3).
@@ -2433,9 +2341,19 @@ mod tests {
         ModuleSeed::new(&parse_module(SEED).unwrap()).unwrap()
     }
 
-    /// Everything elaborated, names and order included.
-    fn render(e: &Elaborated) -> String {
-        format!("{:?}\n{:?}", e.program, e.warnings)
+    /// The datatypes and bindings elaborated, names included, in any
+    /// order, and the warnings.
+    fn render(e: &Elaborated) -> (Vec<String>, Vec<String>, String) {
+        fn sorted<T: std::fmt::Debug>(items: &[T]) -> Vec<String> {
+            let mut out: Vec<String> = items.iter().map(|i| format!("{i:?}")).collect();
+            out.sort();
+            out
+        }
+        (
+            sorted(&e.program.data_decls),
+            sorted(&e.program.bindings),
+            format!("{:?}", e.warnings),
+        )
     }
 
     #[test]
@@ -2445,50 +2363,33 @@ mod tests {
                       instance Sized Box where { size = unbox }\n\
                       main :: Int#\n\
                       main = twice (size (Box 2#)) +# size (I# 3#)\n";
-        let seeded = seed()
-            .elaborate(&parse_module(module).unwrap())
-            .expect("follows the seed")
-            .unwrap();
+        let seeded = seed().elaborate(&parse_module(module).unwrap()).unwrap();
         let whole = elaborate_module(&parse_module(&format!("{SEED}{module}")).unwrap()).unwrap();
         assert_eq!(render(&seeded), render(&whole));
     }
 
     #[test]
-    fn a_module_redeclaring_a_seed_name_is_declined() {
+    fn a_module_redeclaring_a_seed_name_is_rejected() {
         let seed = seed();
-        for module in [
-            "twice :: Int# -> Int#\ntwice x = x\n",
-            "class Sized a where { size :: a -> Int# }\n",
-            "data T = MkSized\n",
-            "error :: Int#\nerror = 1#\n",
+        for (module, name, errors) in [
+            ("twice :: Int# -> Int#\ntwice x = x\n", "twice", 2),
+            ("class Sized a where { size :: a -> Int# }\n", "Sized", 3),
+            ("data T = MkSized\n", "MkSized", 1),
+            ("error :: Int#\nerror = 1#\n", "error", 2),
         ] {
+            let diags = seed
+                .elaborate(&parse_module(module).unwrap())
+                .expect_err(module);
+            assert_eq!(diags.len(), errors, "{module}: {diags:?}");
+            for d in &diags {
+                assert_eq!(d.code, ErrorCode::Duplicate, "{module}: {d}");
+            }
             assert!(
-                seed.elaborate(&parse_module(module).unwrap()).is_none(),
-                "{module}"
+                diags
+                    .iter()
+                    .any(|d| d.message.contains(&format!("`{name}`"))),
+                "{module}: {diags:?}"
             );
         }
-    }
-
-    #[test]
-    fn a_module_that_would_renumber_the_seed_is_declined() {
-        // This seed draws a fresh binder for `_` in an instance body,
-        // the last pass; a module class draws dictionary binders in an
-        // earlier pass, which in one source would come first.
-        let late = "class C a where { m :: a -> Int# }\n\
-                    instance C Int where { m _ = 0# }\n";
-        let seed = ModuleSeed::new(&parse_module(late).unwrap()).unwrap();
-        for module in [
-            "class D a where { d :: a -> a }\n",
-            // A method call draws a dictionary placeholder in the
-            // binding pass, also before the seed's instance bodies.
-            "main :: Int#\nmain = m (I# 1#)\n",
-        ] {
-            assert!(
-                seed.elaborate(&parse_module(module).unwrap()).is_none(),
-                "{module}"
-            );
-        }
-        let plain = "main :: Int#\nmain = 1#\n";
-        assert!(seed.elaborate(&parse_module(plain).unwrap()).is_some());
     }
 }

@@ -75,11 +75,6 @@ impl Unifier {
         Unifier::default()
     }
 
-    /// The numbers the next type and representation metavariables get.
-    pub(crate) fn meta_counters(&self) -> (u64, u64) {
-        (self.next_ty, self.next_rep)
-    }
-
     /// Is this symbol a type metavariable?
     pub fn is_ty_meta(name: Symbol) -> bool {
         name.as_str().starts_with("?t")

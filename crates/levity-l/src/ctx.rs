@@ -84,14 +84,6 @@ impl Ctx {
         !self.bindings.iter().any(|b| matches!(b, Binding::Term(..)))
     }
 
-    /// All term bindings, oldest first.
-    pub fn term_bindings(&self) -> impl Iterator<Item = (Symbol, &Ty)> {
-        self.bindings.iter().filter_map(|b| match b {
-            Binding::Term(x, ty) => Some((*x, ty)),
-            _ => None,
-        })
-    }
-
     /// Number of bindings; used by the checker to truncate on exit.
     pub fn len(&self) -> usize {
         self.bindings.len()

@@ -962,23 +962,6 @@ fn with_subst_pairs<R>(
     }
 }
 
-/// Runs a program with fresh machine state, returning the outcome and
-/// statistics.
-///
-/// # Errors
-///
-/// See [`Machine::run`].
-pub fn run_program(
-    t: Arc<MExpr>,
-    globals: Globals,
-    fuel: u64,
-) -> Result<(RunOutcome, MachineStats), MachineError> {
-    let mut machine = Machine::with_globals(globals);
-    machine.set_fuel(fuel);
-    let outcome = machine.run(t)?;
-    Ok((outcome, *machine.stats()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

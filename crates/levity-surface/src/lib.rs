@@ -32,4 +32,4 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{Module, SDecl, SExpr, SExprNode, SKind, SLit, SPat, SRep, SType};
-pub use parser::{parse_expr, parse_module, parse_module_continuing, parse_type};
+pub use parser::{parse_expr, parse_module, parse_type};

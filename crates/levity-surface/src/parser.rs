@@ -907,31 +907,6 @@ pub fn parse_module(source: &str) -> Result<Module, Diagnostic> {
     parser.module()
 }
 
-/// Parses a module that continues a longer source: `source` as if it
-/// followed `offset` characters ending in a line break, with every span
-/// shifted by `offset`. `Ok(None)` when the first token is indented:
-/// after the text before it, it would continue that text's last
-/// declaration instead of starting one of its own.
-///
-/// # Errors
-///
-/// Returns the first lexing or parsing [`Diagnostic`].
-pub fn parse_module_continuing(source: &str, offset: usize) -> Result<Option<Module>, Diagnostic> {
-    let shift = |span: Span| Span::new(span.start + offset, span.end + offset);
-    let mut toks = lex(source).map_err(|mut d| {
-        d.span = shift(d.span);
-        d
-    })?;
-    let first = toks[0].span.start;
-    if toks[0].tok != Tok::Eof && first > 0 && source.chars().nth(first - 1) != Some('\n') {
-        return Ok(None);
-    }
-    for t in &mut toks {
-        t.span = shift(t.span);
-    }
-    Parser::new(toks).module().map(Some)
-}
-
 /// Parses a single expression (tests and the REPL-style driver).
 ///
 /// # Errors

@@ -1,7 +1,8 @@
 //! End-to-end pipeline tests: surface source through inference,
 //! dictionary elaboration, levity checks, lowering, and the machine.
 
-use levity::driver::{compile_with_prelude, PipelineError};
+use levity::core::diag::{line_col, ErrorCode};
+use levity::driver::{compile_source, compile_with_prelude, Compiled, PipelineError};
 use levity::m::machine::RunOutcome;
 
 const FUEL: u64 = 50_000_000;
@@ -145,6 +146,93 @@ fn pruning_does_not_skip_type_checking() {
     )
     .unwrap_err();
     assert!(matches!(err, PipelineError::Elaborate(_)), "{err}");
+}
+
+/// Asserts `result` is an elaboration failure with an `E-duplicate`
+/// error naming `name`.
+fn assert_duplicate(what: &str, result: Result<Compiled, PipelineError>, name: &str) {
+    match result {
+        Err(PipelineError::Elaborate(diags)) => {
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.code == ErrorCode::Duplicate
+                        && d.message.contains(&format!("`{name}`"))),
+                "{what}: no E-duplicate error naming `{name}`: {diags:?}"
+            )
+        }
+        Err(e) => panic!("{what}: expected an E-duplicate error, got {e}"),
+        Ok(_) => panic!("{what}: a duplicate declaration of `{name}` compiled"),
+    }
+}
+
+#[test]
+fn duplicate_top_level_declarations_are_rejected() {
+    // Each module declares one name twice in one namespace; a signature
+    // and its binding are not a clash. With or without the prelude the
+    // module is rejected, instead of the last declaration winning.
+    for (what, source, name) in [
+        (
+            "two value bindings",
+            "g :: Int# -> Int#\ng x = x *# 10#\ng x = x +# 1#\nmain :: Int#\nmain = g 5#\n",
+            "g",
+        ),
+        (
+            "a class method and a value binding",
+            "class C a where { m :: a -> Int# }\nm x = 1#\nmain :: Int#\nmain = 2#\n",
+            "m",
+        ),
+        (
+            "two signatures",
+            "g :: Int#\ng :: Int#\ng = 1#\nmain :: Int#\nmain = g\n",
+            "g",
+        ),
+        (
+            "two datatypes",
+            "data T = A\ndata T = B\nmain :: Int#\nmain = 1#\n",
+            "T",
+        ),
+        (
+            "a datatype and a class",
+            "data T = A\nclass T a where { t :: a -> Int# }\nmain :: Int#\nmain = 1#\n",
+            "T",
+        ),
+        (
+            "a datatype and a type family",
+            "data F = A\ntype family F a :: TYPE IntRep where { F Int = Int# }\n\
+             main :: Int#\nmain = 1#\n",
+            "F",
+        ),
+        (
+            "two data constructors",
+            "data T = A\ndata U = A\nmain :: Int#\nmain = 1#\n",
+            "A",
+        ),
+        (
+            "a data constructor and a dictionary constructor",
+            "class C a where { m :: a -> Int# }\ndata D = MkC\nmain :: Int#\nmain = 1#\n",
+            "MkC",
+        ),
+    ] {
+        assert_duplicate(what, compile_source(source), name);
+        assert_duplicate(
+            &format!("{what}, after the prelude"),
+            compile_with_prelude(source),
+            name,
+        );
+    }
+}
+
+#[test]
+fn a_tenant_diagnostic_indexes_the_tenant_source() {
+    // The module is parsed on its own, after the prelude: its spans are
+    // offsets into its own source.
+    let source = "main :: Int#\nmain = 1# +# True\n";
+    let Err(PipelineError::Elaborate(diags)) = compile_with_prelude(source) else {
+        panic!("a type error must fail elaboration");
+    };
+    let span = diags.iter().next().expect("one diagnostic").span;
+    assert_eq!(line_col(source, span.start), (2, 14), "{span}");
 }
 
 #[test]

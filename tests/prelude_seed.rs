@@ -1,30 +1,42 @@
-//! The prelude seed's oracle: compiling a module against the
-//! once-per-process prelude seed (`compile_with_prelude_entries`) must
-//! give exactly what compiling the concatenated source gives
-//! (`compile_source_entries` over `PRELUDE`, a line break and the
+//! The prelude seed's oracle. A module compiled with the prelude is
+//! compiled after it, on the once-per-process prelude seed
+//! (`compile_with_prelude_entries`). For a module that redeclares no
+//! prelude name, that must give what compiling the concatenated source
+//! gives (`compile_source_entries` over `PRELUDE`, a line break and the
 //! module), at `O0` and at `O2`:
 //!
-//! * the same elaborated binding names, in the same order;
-//! * the same optimised Core under the golden printer;
+//! * the same elaborated datatypes and bindings, as multisets of their
+//!   `Debug` renders: the same Core per binding, with names and
+//!   metavariables numbered alike;
 //! * byte-identical bytecode disassembly;
+//! * the same optimised Core under the golden printer, at `O2`;
 //! * an equal `OptReport`;
 //! * equal outcomes and `MachineStats` on all three engines;
 //! * and, for a program either path rejects, an equal `PipelineError`
 //!   display.
 //!
+//! Binding order is not compared, nor the `O0` Core render, which
+//! prints the elaborated program in binding order: the seeded program
+//! lists the prelude's bindings first, the concatenated one interleaves
+//! them with the module's pass by pass.
+//!
 //! The programs are the golden corpus, the differential corpus, a sample
 //! of generated surface programs, the serving corpus's cold-compile
-//! shapes, chain modules, the modules that must take the concatenated
-//! path (a redeclared prelude name, an indented first line), and one
-//! program failing at each front-end stage.
+//! shapes, chain modules, new declarations, and one program failing at
+//! each front-end stage. Modules that redeclare a prelude name, or whose
+//! first line is indented (which continues the prelude's last
+//! declaration in the concatenation), are pinned on their own.
 
 mod support;
 
-use levity::driver::pipeline::{compile_source_entries, compile_with_prelude_entries, Compiled};
-use levity::driver::prelude::PreludeSeed;
+use levity::core::diag::ErrorCode;
+use levity::driver::pipeline::{
+    compile_source_entries, compile_with_prelude, compile_with_prelude_entries, Compiled,
+};
 use levity::driver::{OptLevel, PipelineError, PRELUDE};
 use levity::m::Engine;
 use levity::serve::corpus::{chain_module, CHURN, MIXED_CORPUS};
+use levity::surface::parse_module;
 
 use support::golden::{render, GOLDEN};
 use support::surface::{gen_program, CORPUS};
@@ -36,11 +48,21 @@ const FUEL: u64 = 2_000_000;
 /// Everything the oracle compares of a successful compilation.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    names: Vec<String>,
-    core: String,
+    /// The elaborated datatypes' `Debug` renders, sorted.
+    data_decls: Vec<String>,
+    /// The elaborated bindings' `Debug` renders, sorted.
+    bindings: Vec<String>,
+    /// The golden render of the optimised Core; `None` at `O0`.
+    core: Option<String>,
     disasm: String,
     report: String,
     runs: Vec<String>,
+}
+
+fn sorted_debug<T: std::fmt::Debug>(items: &[T]) -> Vec<String> {
+    let mut out: Vec<String> = items.iter().map(|i| format!("{i:?}")).collect();
+    out.sort();
+    out
 }
 
 fn observe(compiled: &Compiled) -> Observed {
@@ -52,15 +74,11 @@ fn observe(compiled: &Compiled) -> Observed {
     } else {
         Vec::new()
     };
+    let elaborated = &compiled.elaborated.program;
     Observed {
-        names: compiled
-            .elaborated
-            .program
-            .bindings
-            .iter()
-            .map(|b| b.name.to_string())
-            .collect(),
-        core: render(&compiled.program),
+        data_decls: sorted_debug(&elaborated.data_decls),
+        bindings: sorted_debug(&elaborated.bindings),
+        core: (compiled.opt_level == OptLevel::O2).then(|| render(&compiled.program)),
         disasm: compiled.bytecode.disasm(),
         report: format!("{:?}", compiled.opt_report),
         runs,
@@ -92,25 +110,9 @@ fn assert_seed_agrees(what: &str, source: &str) -> Result<Observed, String> {
     o2.expect("two levels ran")
 }
 
-/// Does `source` take the seeded path? The seed declines a module
-/// without an error, so a change that made it decline too much — or a
-/// prelude that stopped building a seed at all — would pass the
-/// equality checks alone while every compile paid for the prelude.
-fn follows_the_seed(source: &str) -> bool {
-    PreludeSeed::get()
-        .expect("the prelude builds a seed")
-        .front_end(source)
-        .is_some()
-}
-
-/// Asserts every program follows the seed and compiles identically
-/// both ways.
+/// Asserts every program compiles, identically both ways.
 fn assert_all_agree<'a>(programs: impl IntoIterator<Item = (&'a str, &'a str)>) {
     for (what, source) in programs {
-        assert!(
-            follows_the_seed(source),
-            "{what} must follow the prelude seed\n{source}"
-        );
         assert_seed_agrees(what, source)
             .unwrap_or_else(|e| panic!("{what} must compile: {e}\n{source}"));
     }
@@ -148,50 +150,78 @@ fn cold_compile_shapes_and_chain_modules_compile_identically() {
     }
 }
 
-/// Modules the seed must decline: each redeclares something the
-/// prelude binds, or starts indented and so continues the prelude's last
-/// declaration. Elaborated on the seed they would diverge from the
-/// concatenated compile; on the concatenated path they cannot.
+/// A module may not redeclare a name the prelude binds or uses: a
+/// value, a type, a data constructor, a class, a primop or `error`.
+/// Each such declaration is an `E-duplicate` error naming the name.
 #[test]
-fn modules_that_cannot_follow_the_seed_compile_identically() {
-    for (what, source) in [
+fn modules_that_redeclare_a_prelude_name_are_rejected() {
+    for (what, source, name) in [
         (
             "a user fst",
             "fst :: Int# -> Int#\nfst x = x +# 1#\nmain :: Int#\nmain = fst 41#\n",
+            "fst",
         ),
         (
             "a user data Pair",
             "data Pair = P Int# Int#\nmain :: Int#\nmain = case P 1# 2# of { P a b -> a +# b }\n",
+            "Pair",
         ),
         (
             "a user class Num",
             "class Num a where { plus :: a -> a -> a }\n\
              instance Num Int where { plus = plusInt }\n\
              main :: Int\nmain = plus 1 2\n",
-        ),
-        ("an indented first line", "  main :: Int#\nmain = 3#\n"),
-        (
-            "an indented first line that is an application",
-            "  (I# 1#)\nmain :: Int#\nmain = 3#\n",
+            "Num",
         ),
         (
             "a user error",
             "error :: Int#\nerror = 1#\nmain :: Int#\nmain = error\n",
+            "error",
         ),
         (
             "a user primop name",
             "negateInt# :: Int# -> Int#\nnegateInt# x = x\nmain :: Int#\nmain = negateInt# 3#\n",
+            "negateInt#",
         ),
     ] {
-        assert!(
-            !follows_the_seed(source),
-            "{what} must take the concatenated path\n{source}"
-        );
-        let _ = assert_seed_agrees(what, source);
+        for level in [OptLevel::O0, OptLevel::O2] {
+            match compile_with_prelude_entries(source, level, None) {
+                Err(PipelineError::Elaborate(diags)) => assert!(
+                    diags.iter().all(|d| d.code == ErrorCode::Duplicate)
+                        && diags
+                            .iter()
+                            .any(|d| d.message.contains(&format!("`{name}`"))),
+                    "{what} at {level}: {diags:?}"
+                ),
+                Err(e) => panic!("{what} at {level}: expected E-duplicate, got {e}"),
+                Ok(_) => panic!("{what} at {level}: redeclaring `{name}` compiled"),
+            }
+        }
     }
 }
 
-/// A new class, instance and datatype follow the seed without
+/// A module is parsed on its own, so an indented first line means what
+/// it means to `parse_module` alone, not a continuation of the prelude's
+/// last declaration.
+#[test]
+fn an_indented_first_line_parses_as_on_its_own() {
+    let source = "  main :: Int#\nmain = 3#\n";
+    parse_module(source).expect("parses on its own");
+    let (out, _) = compile_with_prelude(source)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run("main", FUEL)
+        .unwrap();
+    assert_eq!(out.value().and_then(|v| v.as_int()), Some(3));
+
+    let source = "  (I# 1#)\nmain :: Int#\nmain = 3#\n";
+    let alone = parse_module(source).expect_err("does not parse on its own");
+    match compile_with_prelude(source) {
+        Err(PipelineError::Parse(d)) => assert_eq!(d, alone),
+        other => panic!("expected parse_module's error {alone}, got {other:?}"),
+    }
+}
+
+/// A new class, instance and datatype compile after the prelude without
 /// redeclaring anything it binds.
 #[test]
 fn new_declarations_compile_identically() {
@@ -255,10 +285,6 @@ fn front_end_failures_are_identical() {
             "levity restrictions violated",
         ),
     ] {
-        assert!(
-            follows_the_seed(source),
-            "{what} must follow the prelude seed"
-        );
         let err = assert_seed_agrees(what, source).expect_err(what);
         assert!(err.starts_with(stage), "{what}: {err}");
     }
