@@ -8,7 +8,8 @@
 //! stages before it, and a row's time is the stage's total over the six
 //! modules:
 //!
-//! * `pipeline/parse`, `pipeline/elaborate` (on a clone of the seed),
+//! * `pipeline/parse`, `pipeline/elaborate` (after the seed, sharing
+//!   what it binds),
 //!   `pipeline/check` (the Core check of the module's own bindings),
 //!   `pipeline/levity` (the §5.1 checks of the same bindings);
 //! * `pipeline/optimise` (from `main`, pruning first), `pipeline/lower`,

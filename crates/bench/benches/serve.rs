@@ -6,6 +6,9 @@
 //!
 //! * `serve/cold_compile` — latency of a request whose program has
 //!   never been seen (pays the full elaborate→optimise→lower pipeline);
+//! * `serve/cold_compile_full` — the same request once the cache is
+//!   full, as on a long-running server: every compile also evicts, and
+//!   frees, the oldest entry;
 //! * `serve/cache_hit` — what the same request costs once cached: the
 //!   wall time of a burst of hits, per hit (lookup, queueing,
 //!   evaluation and reply, no compile), median over the bursts;
@@ -71,6 +74,23 @@ fn measure_cold(service: &EvalService, k: usize) -> Vec<f64> {
             ns
         })
         .collect()
+}
+
+/// Cold-compile latency at steady state: a fresh service's cache is
+/// first filled to its default capacity with distinct programs, so each
+/// timed request also evicts an entry.
+fn measure_cold_full(k: usize) -> Vec<f64> {
+    let config = ServeConfig::default();
+    let capacity = config.cache_capacity;
+    let service = EvalService::start(config);
+    for n in 0..capacity {
+        let src = format!("main :: Int#\nmain = {n}# +# 2#\n");
+        let resp = service.call(EvalRequest::source(src)).expect("fill call");
+        assert!(!resp.cache_hit, "fill requests are distinct");
+    }
+    let samples = measure_cold(&service, k);
+    service.shutdown();
+    samples
 }
 
 /// Hits per burst in [`measure_hits`].
@@ -176,6 +196,7 @@ fn bench_serve(_c: &mut Criterion) {
     let mut hits = measure_hits(&service, hit_bursts);
     service.shutdown();
     let cold_mean = report("serve/cold_compile", &mut cold);
+    report("serve/cold_compile_full", &mut measure_cold_full(cold_k));
     // The median burst: one burst the host happens to deschedule moves
     // the mean of ten by multiples.
     hits.sort_by(|a, b| a.total_cmp(b));

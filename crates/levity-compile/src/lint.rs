@@ -543,7 +543,8 @@ mod tests {
                 name: name.into(),
                 ty,
                 expr,
-            }],
+            }
+            .into()],
         }
     }
 

@@ -35,7 +35,7 @@ use levity_core::kind::Kind;
 use levity_core::rep::{Rep, Slot};
 use levity_core::symbol::{NameSupply, Symbol};
 
-use levity_ir::terms::{CoreAlt, CoreExpr, DataConInfo, LetKind, Program, TopBind};
+use levity_ir::terms::{CoreAlt, CoreExpr, DataConInfo, LetKind, Program};
 use levity_ir::typecheck::{
     kind_of, resolve_con_tyargs, type_of, CoreError, Scope, ScopeEntry, TypeEnv,
 };
@@ -848,9 +848,9 @@ impl<'a> Lowerer<'a> {
 /// levity checking (other than the deliberately unsupported corners).
 pub fn lower_program(env: &TypeEnv, prog: &Program) -> Result<Globals, LowerError> {
     let mut globals = Globals::new();
-    for TopBind { name, expr, .. } in &prog.bindings {
-        let mut lowerer = Lowerer::for_binding(env, name.as_str());
-        globals.define(*name, lowerer.lower(expr)?);
+    for bind in &prog.bindings {
+        let mut lowerer = Lowerer::for_binding(env, bind.name.as_str());
+        globals.define(bind.name, lowerer.lower(&bind.expr)?);
     }
     Ok(globals)
 }
@@ -1189,7 +1189,7 @@ mod tests {
         let ih = Type::con0(&b.int_hash);
         let prog = Program {
             data_decls: b.data_decls.clone(),
-            bindings: vec![TopBind {
+            bindings: vec![levity_ir::terms::TopBind {
                 name: "double".into(),
                 ty: Type::fun(ih.clone(), ih.clone()),
                 expr: CoreExpr::lam(
@@ -1200,7 +1200,8 @@ mod tests {
                         vec![CoreExpr::Var("x".into()), CoreExpr::Var("x".into())],
                     ),
                 ),
-            }],
+            }
+            .into()],
         };
         let env = levity_ir::typecheck::check_program(&prog).unwrap();
         let globals = lower_program(&env, &prog).unwrap();

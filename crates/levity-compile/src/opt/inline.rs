@@ -226,10 +226,12 @@ pub fn inline(prog: &Program, force_inline: &HashSet<Symbol>) -> (Program, usize
     let bindings = prog
         .bindings
         .iter()
-        .map(|b| TopBind {
-            name: b.name,
-            ty: b.ty.clone(),
-            expr: walk(&b.expr, &bodies, &mut count),
+        .map(|b| {
+            Arc::new(TopBind {
+                name: b.name,
+                ty: b.ty.clone(),
+                expr: walk(&b.expr, &bodies, &mut count),
+            })
         })
         .collect();
     (

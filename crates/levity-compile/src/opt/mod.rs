@@ -336,7 +336,8 @@ mod tests {
                 name: "main".into(),
                 ty: ih,
                 expr: CoreExpr::int(42),
-            }],
+            }
+            .into()],
         };
         let (out, report, _env) =
             optimise_program(&prog, None).expect("optimizer broke a trivial program");
@@ -398,7 +399,8 @@ mod tests {
                     name: "inc".into(),
                     ty: Type::fun(int.clone(), int.clone()),
                     expr: inc_body,
-                },
+                }
+                .into(),
                 TopBind {
                     name: "main".into(),
                     ty: int.clone(),
@@ -410,7 +412,8 @@ mod tests {
                             vec![CoreExpr::int(1)],
                         ),
                     ),
-                },
+                }
+                .into(),
             ],
         };
         let (out1, first, _) = optimise_program(&prog, None).unwrap();
@@ -437,12 +440,14 @@ mod tests {
                     name: "main".into(),
                     ty: ih.clone(),
                     expr: CoreExpr::int(42),
-                },
+                }
+                .into(),
                 TopBind {
                     name: "unused".into(),
                     ty: ih,
                     expr: CoreExpr::int(7),
-                },
+                }
+                .into(),
             ],
         };
         let entries: HashSet<Symbol> = ["main".into()].into();

@@ -167,11 +167,11 @@ pub fn simplify(env: &TypeEnv, prog: &Program) -> (Program, usize, usize) {
                     break;
                 }
             }
-            TopBind {
+            Arc::new(TopBind {
                 name: b.name,
                 ty: b.ty.clone(),
                 expr,
-            }
+            })
         })
         .collect();
     (

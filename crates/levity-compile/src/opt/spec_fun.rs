@@ -55,6 +55,7 @@
 //! its strict fields — which evaluate identically at either binding).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use levity_core::rep::RepTy;
 use levity_core::symbol::Symbol;
@@ -541,7 +542,7 @@ pub fn specialise_functions(
                 .find(|b| b.name == target)
                 .expect("candidate came from the program");
             let cand = &candidates[&target];
-            bindings.push(build_clone(bind, cand, &spec));
+            bindings.push(Arc::new(build_clone(bind, cand, &spec)));
             cache.insert(spec.args.key(target), spec.name);
         }
     }
@@ -556,10 +557,12 @@ pub fn specialise_functions(
     let mut redirected = 0usize;
     let bindings = bindings
         .iter()
-        .map(|b| TopBind {
-            name: b.name,
-            ty: b.ty.clone(),
-            expr: redirect(&b.expr, &candidates, &dict_globals, cache, &mut redirected),
+        .map(|b| {
+            Arc::new(TopBind {
+                name: b.name,
+                ty: b.ty.clone(),
+                expr: redirect(&b.expr, &candidates, &dict_globals, cache, &mut redirected),
+            })
         })
         .collect();
     (

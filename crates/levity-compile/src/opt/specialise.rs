@@ -118,10 +118,12 @@ pub fn specialise(prog: &Program) -> (Program, usize) {
     let bindings = prog
         .bindings
         .iter()
-        .map(|b| TopBind {
-            name: b.name,
-            ty: b.ty.clone(),
-            expr: rewrite(&b.expr, &selectors, &dicts, &mut count),
+        .map(|b| {
+            Arc::new(TopBind {
+                name: b.name,
+                ty: b.ty.clone(),
+                expr: rewrite(&b.expr, &selectors, &dicts, &mut count),
+            })
         })
         .collect();
     (
@@ -314,7 +316,7 @@ mod tests {
 
         let prog = Program {
             data_decls: env.builtins.data_decls.clone(),
-            bindings: vec![poly_id, selector, caf, user],
+            bindings: vec![poly_id.into(), selector.into(), caf.into(), user.into()],
         };
         check_program(&prog).expect("the input program is well-typed");
 

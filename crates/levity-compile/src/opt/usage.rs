@@ -86,10 +86,13 @@ mod tests {
     fn prog() -> Program {
         let env = TypeEnv::new();
         let ih = Type::con0(&env.builtins.int_hash);
-        let bind = |name: &str, expr: CoreExpr| TopBind {
-            name: name.into(),
-            ty: ih.clone(),
-            expr,
+        let bind = |name: &str, expr: CoreExpr| {
+            TopBind {
+                name: name.into(),
+                ty: ih.clone(),
+                expr,
+            }
+            .into()
         };
         Program {
             data_decls: env.builtins.data_decls.clone(),

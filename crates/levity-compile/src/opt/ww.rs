@@ -571,15 +571,15 @@ pub fn worker_wrapper(env: &TypeEnv, prog: &Program) -> (Program, HashSet<Symbol
     let mut wrappers = HashSet::new();
     let mut made = 0usize;
     let mut cpr_made = 0usize;
-    let mut bindings: Vec<TopBind> = Vec::with_capacity(prog.bindings.len());
+    let mut bindings: Vec<Arc<TopBind>> = Vec::with_capacity(prog.bindings.len());
     for b in &prog.bindings {
         match split_binding(env, b, &existing, prog) {
             Some((wrapper, worker, cpr_applied)) => {
                 wrappers.insert(wrapper.name);
                 made += 1;
                 cpr_made += usize::from(cpr_applied);
-                bindings.push(wrapper);
-                bindings.push(worker);
+                bindings.push(Arc::new(wrapper));
+                bindings.push(Arc::new(worker));
             }
             None => bindings.push(b.clone()),
         }

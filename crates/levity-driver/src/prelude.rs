@@ -17,6 +17,15 @@
 //! checks and the Core check judge one binding at a time against the
 //! global environment, so checking the module's own bindings against
 //! the prelude's environment gives the whole program's verdict.
+//!
+//! The seed is shared, not copied. A compilation's elaborated program
+//! holds the prelude's bindings by `Arc`, followed by the module's own;
+//! its elaborator's and its Core check's type environments sit over the
+//! seed's ([`TypeEnv::over`]); and it shares the seed's class table and
+//! type families until the module declares a class, an instance or a
+//! type family. A compilation allocates for its own module only, and
+//! what it keeps (a serving cache's entry) is that module plus pointers
+//! into the seed.
 
 use std::sync::{Arc, OnceLock};
 
@@ -36,8 +45,9 @@ use crate::pipeline::PipelineError;
 pub struct PreludeSeed {
     /// The prelude elaborated, ready to elaborate a module after it.
     elab: ModuleSeed,
-    /// The Core check's environment over the prelude.
-    env: TypeEnv,
+    /// The Core check's environment over the prelude, the shared base
+    /// of every seeded compilation's.
+    env: Arc<TypeEnv>,
     /// The fresh-name counter after the prelude's front end. Every
     /// seeded compilation restarts there: the prelude's Core may hold
     /// names freshened below it.
@@ -67,7 +77,7 @@ impl PreludeSeed {
         }
         Ok(PreludeSeed {
             elab,
-            env,
+            env: Arc::new(env),
             fresh_mark: levity_ir::fresh_names_mark(),
         })
     }
@@ -101,10 +111,11 @@ impl PreludeSeed {
 
     /// The Core check of what the module adds to the prelude, its
     /// datatypes and bindings, against the prelude's environment; the
-    /// environment over both. `elaborated` is [`Self::elaborate`]'s.
+    /// environment over both, which shares the prelude's. `elaborated`
+    /// is [`Self::elaborate`]'s.
     pub fn check(&self, elaborated: &Elaborated) -> Result<TypeEnv, PipelineError> {
         let (data_decls, bindings) = self.own(&elaborated.program);
-        let mut env = self.env.clone();
+        let mut env = TypeEnv::over(Arc::clone(&self.env));
         check_module(&mut env, data_decls, bindings)
             .map_err(|(name, e)| PipelineError::CoreLint(name, e))?;
         Ok(env)
@@ -126,7 +137,7 @@ impl PreludeSeed {
 
     /// The module's own datatypes and bindings: what follows the
     /// prelude's in a program [`Self::elaborate`] returned.
-    fn own<'a>(&self, program: &'a Program) -> (&'a [Arc<DataDecl>], &'a [TopBind]) {
+    fn own<'a>(&self, program: &'a Program) -> (&'a [Arc<DataDecl>], &'a [Arc<TopBind>]) {
         let prelude = self.elab.program();
         (
             &program.data_decls[prelude.data_decls.len()..],

@@ -87,12 +87,16 @@ impl ClassEnv {
 pub struct Elaborated {
     /// The Core program (prelude datatypes + all generated bindings).
     pub program: Program,
-    /// The final type environment.
+    /// The final type environment; of a module elaborated after a
+    /// [`ModuleSeed`], a layer over the seed's.
     pub env: TypeEnv,
-    /// Classes and instances.
-    pub classes: ClassEnv,
-    /// Checked type families (§7.1).
-    pub families: Vec<FamilyInfo>,
+    /// Classes and instances, shared with the seed the module was
+    /// elaborated after unless the module declares a class or an
+    /// instance.
+    pub classes: Arc<ClassEnv>,
+    /// Checked type families (§7.1), shared with the seed unless the
+    /// module declares one.
+    pub families: Arc<Vec<FamilyInfo>>,
     /// Non-fatal diagnostics (warnings).
     pub warnings: Diagnostics,
 }
@@ -150,10 +154,10 @@ enum Wrapper {
 struct Elaborator {
     env: TypeEnv,
     unifier: Unifier,
-    classes: ClassEnv,
-    families: Vec<FamilyInfo>,
+    classes: Arc<ClassEnv>,
+    families: Arc<Vec<FamilyInfo>>,
     supply: NameSupply,
-    prims: HashMap<Symbol, PrimOp>,
+    prims: Arc<HashMap<Symbol, PrimOp>>,
     locals: Vec<(Symbol, Type)>,
     rigid_tys: Vec<(Symbol, Kind)>,
     rigid_reps: Vec<Symbol>,
@@ -177,10 +181,10 @@ impl Elaborator {
         Elaborator {
             env,
             unifier: Unifier::new(),
-            classes: ClassEnv::default(),
-            families: Vec::new(),
+            classes: Arc::default(),
+            families: Arc::default(),
             supply: NameSupply::new(),
-            prims: primop_table(),
+            prims: Arc::new(primop_table()),
             locals: Vec::new(),
             rigid_tys: Vec::new(),
             rigid_reps: Vec::new(),
@@ -190,6 +194,13 @@ impl Elaborator {
             program,
             error_name: Symbol::intern("error"),
         }
+    }
+
+    /// Adds a top-level binding to the program.
+    fn push_binding(&mut self, name: Symbol, ty: Type, expr: CoreExpr) {
+        self.program
+            .bindings
+            .push(Arc::new(TopBind { name, ty, expr }));
     }
 
     fn diag(&mut self, d: Diagnostic) {
@@ -442,15 +453,13 @@ impl Elaborator {
                 |acc, r| CoreExpr::rep_lam(*r, acc),
             );
             self.env.define_global(*mname, sel_ty.clone());
-            self.classes.methods.insert(*mname, name);
-            self.program.bindings.push(TopBind {
-                name: *mname,
-                ty: sel_ty,
-                expr: core,
-            });
+            Arc::make_mut(&mut self.classes)
+                .methods
+                .insert(*mname, name);
+            self.push_binding(*mname, sel_ty, core);
         }
 
-        self.classes.classes.insert(
+        Arc::make_mut(&mut self.classes).classes.insert(
             name,
             ClassInfo {
                 name,
@@ -530,11 +539,13 @@ impl Elaborator {
         let dict_global = Symbol::intern(&format!("$d{class}_{head_ty}"));
         self.env
             .define_global(dict_global, Type::Dict(class, Box::new(head_ty.clone())));
-        self.classes.instances.push(InstanceInfo {
-            class,
-            head: head_ty.clone(),
-            dict_global,
-        });
+        Arc::make_mut(&mut self.classes)
+            .instances
+            .push(InstanceInfo {
+                class,
+                head: head_ty.clone(),
+                dict_global,
+            });
         Some((dict_global, head_ty, head_rep))
     }
 
@@ -570,11 +581,7 @@ impl Elaborator {
             let core = self.check_binding_body(params, body, &inst_ty, span);
             let core = self.finalize_binding(core, span);
             self.env.define_global(global, inst_ty.clone());
-            self.program.bindings.push(TopBind {
-                name: global,
-                ty: inst_ty,
-                expr: core,
-            });
+            self.push_binding(global, inst_ty, core);
             method_globals.push(global);
         }
         for (mname, _, _) in methods {
@@ -601,11 +608,7 @@ impl Elaborator {
             ty_args,
             method_globals.into_iter().map(CoreExpr::Global).collect(),
         );
-        self.program.bindings.push(TopBind {
-            name: dict_global,
-            ty: Type::Dict(class, Box::new(head_ty)),
-            expr: dict_expr,
-        });
+        self.push_binding(dict_global, Type::Dict(class, Box::new(head_ty)), dict_expr);
     }
 
     // =================================================================
@@ -1864,11 +1867,7 @@ impl Elaborator {
                 let sig = sig.clone();
                 let core = self.check_binding_body(params, body, &sig, span);
                 let core = self.finalize_binding(core, span);
-                self.program.bindings.push(TopBind {
-                    name,
-                    ty: sig,
-                    expr: core,
-                });
+                self.push_binding(name, sig, core);
             }
             None => {
                 // Infer, then generalize with rep defaulting (§5.2).
@@ -1919,11 +1918,7 @@ impl Elaborator {
                     .rev()
                     .fold(core, |acc, (v, k)| CoreExpr::ty_lam(*v, k.clone(), acc));
                 self.env.define_global(name, gen_ty.clone());
-                self.program.bindings.push(TopBind {
-                    name,
-                    ty: gen_ty,
-                    expr: gen_core,
-                });
+                self.push_binding(name, gen_ty, gen_core);
             }
         }
     }
@@ -2101,7 +2096,7 @@ impl Elaborator {
             } = decl
             {
                 match check_family(&self.env, *name, *param, result_kind, equations, *span) {
-                    Ok(info) => self.families.push(info),
+                    Ok(info) => Arc::make_mut(&mut self.families).push(info),
                     Err(d) => self.diag(d),
                 }
             }
@@ -2194,9 +2189,15 @@ impl Elaborator {
 /// its own datatypes and bindings, its fresh names and metavariables
 /// continue the seed's numbering, and its diagnostics' spans point into
 /// its own source.
+///
+/// Nothing of the seed is copied: the module's program holds the seed's
+/// bindings' `Arc`s, its environment sits over the seed's
+/// ([`TypeEnv::over`]), and it shares the seed's classes and families
+/// until it declares a class, an instance or a type family of its own.
 #[derive(Debug)]
 pub struct ModuleSeed {
-    /// The elaborator after the seed, its program moved out.
+    /// The elaborator after the seed, its program moved out and its
+    /// environment made the shared base of an empty one.
     el: Elaborator,
     /// The seed's own program.
     program: Program,
@@ -2216,6 +2217,12 @@ impl ModuleSeed {
             return Err(el.diags);
         }
         let program = std::mem::take(&mut el.program);
+        // Every later module elaborates on a clone of `el`: make that
+        // clone share the seed's environment instead of copying it, and
+        // keep of the unifier only what a later module can consult (the
+        // seed's types are zonked, so none of its metavariables).
+        el.env = TypeEnv::over(Arc::new(std::mem::take(&mut el.env)));
+        el.unifier = el.unifier.successor();
         Ok(ModuleSeed { el, program })
     }
 
@@ -2239,7 +2246,7 @@ impl ModuleSeed {
     }
 
     /// Elaborates `module` after the seed, on a clone of the seed's
-    /// elaborator.
+    /// elaborator, which shares what the seed bound.
     ///
     /// # Errors
     ///

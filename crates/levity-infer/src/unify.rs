@@ -75,6 +75,20 @@ impl Unifier {
         Unifier::default()
     }
 
+    /// A unifier to go on with after this one: it numbers its
+    /// metavariables after this one's and knows the same rigid
+    /// variables, but has solved none of this one's metavariables. It
+    /// unifies as this one would as long as no type it is given mentions
+    /// one of them — a module's zonked types, say.
+    pub(crate) fn successor(&self) -> Unifier {
+        Unifier {
+            rigid_kinds: self.rigid_kinds.clone(),
+            next_ty: self.next_ty,
+            next_rep: self.next_rep,
+            ..Unifier::default()
+        }
+    }
+
     /// Is this symbol a type metavariable?
     pub fn is_ty_meta(name: Symbol) -> bool {
         name.as_str().starts_with("?t")

@@ -16,6 +16,8 @@
 //! an abstract representation is rejected (§5.1's fundamental
 //! requirement (*)).
 
+use std::sync::Arc;
+
 use levity_core::diag::{Diagnostic, Diagnostics, ErrorCode, Span};
 use levity_core::kind::Kind;
 use levity_core::symbol::Symbol;
@@ -187,10 +189,7 @@ pub fn check_program_levity(env: &TypeEnv, prog: &Program) -> Diagnostics {
 /// which covers them and everything they refer to; returns all levity
 /// diagnostics. Each binding is judged on its own, so checking a
 /// program module by module gives [`check_program_levity`]'s verdict.
-pub fn check_module_levity<'a>(
-    env: &TypeEnv,
-    bindings: impl IntoIterator<Item = &'a TopBind>,
-) -> Diagnostics {
+pub fn check_module_levity(env: &TypeEnv, bindings: &[Arc<TopBind>]) -> Diagnostics {
     let mut diags = Diagnostics::new();
     for bind in bindings {
         check_binding(env, bind, &mut diags);

@@ -375,18 +375,22 @@ pub struct TopBind {
 /// A complete Core program: datatypes plus top-level bindings. All
 /// top-level bindings are mutually recursive (they compile to `M`
 /// globals).
+///
+/// Bindings sit behind `Arc`s so programs can share them: a module
+/// compiled after the prelude holds the prelude's bindings, not copies,
+/// and a pass that keeps a binding unchanged may keep its `Arc`.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Datatype declarations (prelude + user).
     pub data_decls: Vec<Arc<DataDecl>>,
     /// Top-level value bindings.
-    pub bindings: Vec<TopBind>,
+    pub bindings: Vec<Arc<TopBind>>,
 }
 
 impl Program {
     /// Finds a binding by name.
     pub fn binding(&self, name: Symbol) -> Option<&TopBind> {
-        self.bindings.iter().find(|b| b.name == name)
+        self.bindings.iter().find(|b| b.name == name).map(|b| &**b)
     }
 }
 
@@ -441,11 +445,11 @@ mod tests {
         let b = builtins();
         let prog = Program {
             data_decls: b.data_decls.clone(),
-            bindings: vec![TopBind {
+            bindings: vec![Arc::new(TopBind {
                 name: "main".into(),
                 ty: Type::con0(&b.int),
                 expr: CoreExpr::int(0),
-            }],
+            })],
         };
         assert!(prog.binding("main".into()).is_some());
         assert!(prog.binding("nope".into()).is_none());

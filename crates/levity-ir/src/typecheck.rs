@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use levity_core::kind::Kind;
 use levity_core::rep::{normalize_tuple, RepTy};
@@ -114,10 +114,17 @@ impl std::error::Error for CoreError {}
 
 /// The global environment: type constructors, data constructors and
 /// top-level value types.
+///
+/// An environment may sit over a shared, read-only base
+/// ([`TypeEnv::over`]): lookups fall through to the base,
+/// [`TypeEnv::globals`] yields both, and every write goes to the
+/// environment's own maps. A module checked after the prelude is checked
+/// in an environment over the prelude's, so it copies none of it.
 #[derive(Clone, Debug)]
 pub struct TypeEnv {
     /// The built-in types and constructors.
-    pub builtins: Builtins,
+    pub builtins: Arc<Builtins>,
+    base: Option<Arc<TypeEnv>>,
     tycons: HashMap<Symbol, Arc<TyCon>>,
     datacons: HashMap<Symbol, Arc<DataConInfo>>,
     datatypes: HashMap<Symbol, Arc<DataDecl>>,
@@ -131,11 +138,21 @@ impl Default for TypeEnv {
 }
 
 impl TypeEnv {
-    /// An environment preloaded with the built-ins.
+    /// An environment preloaded with the built-ins: an empty one over
+    /// the process's built-in environment, which is made once.
     pub fn new() -> TypeEnv {
-        let b = builtins();
+        static BUILTINS: OnceLock<Arc<TypeEnv>> = OnceLock::new();
+        TypeEnv::over(Arc::clone(
+            BUILTINS.get_or_init(|| Arc::new(TypeEnv::builtin())),
+        ))
+    }
+
+    /// The built-in environment itself.
+    fn builtin() -> TypeEnv {
+        let b = Arc::new(builtins());
         let mut env = TypeEnv {
-            builtins: b.clone(),
+            builtins: Arc::clone(&b),
+            base: None,
             tycons: HashMap::new(),
             datacons: HashMap::new(),
             datatypes: HashMap::new(),
@@ -155,6 +172,19 @@ impl TypeEnv {
             env.add_data_decl(Arc::clone(decl));
         }
         env
+    }
+
+    /// An empty environment over `base`: it sees everything `base`
+    /// binds, and what is added to it stays out of `base`.
+    pub fn over(base: Arc<TypeEnv>) -> TypeEnv {
+        TypeEnv {
+            builtins: Arc::clone(&base.builtins),
+            base: Some(base),
+            tycons: HashMap::new(),
+            datacons: HashMap::new(),
+            datatypes: HashMap::new(),
+            globals: HashMap::new(),
+        }
     }
 
     /// Registers a datatype declaration (type constructor and all of its
@@ -180,27 +210,41 @@ impl TypeEnv {
 
     /// Looks up a type constructor.
     pub fn tycon(&self, name: Symbol) -> Option<&Arc<TyCon>> {
-        self.tycons.get(&name)
+        self.tycons
+            .get(&name)
+            .or_else(|| self.base.as_deref()?.tycon(name))
     }
 
     /// Looks up a data constructor.
     pub fn datacon(&self, name: Symbol) -> Option<&Arc<DataConInfo>> {
-        self.datacons.get(&name)
+        self.datacons
+            .get(&name)
+            .or_else(|| self.base.as_deref()?.datacon(name))
     }
 
     /// Looks up a datatype declaration by its type constructor name.
     pub fn datatype(&self, name: Symbol) -> Option<&Arc<DataDecl>> {
-        self.datatypes.get(&name)
+        self.datatypes
+            .get(&name)
+            .or_else(|| self.base.as_deref()?.datatype(name))
     }
 
     /// Looks up a global's type.
     pub fn global(&self, name: Symbol) -> Option<&Type> {
-        self.globals.get(&name)
+        self.globals
+            .get(&name)
+            .or_else(|| self.base.as_deref()?.global(name))
     }
 
-    /// Iterates over all globals.
-    pub fn globals(&self) -> impl Iterator<Item = (&Symbol, &Type)> {
-        self.globals.iter()
+    /// Iterates over all globals: the environment's own, then those of
+    /// its base that it does not shadow.
+    pub fn globals(&self) -> Box<dyn Iterator<Item = (&Symbol, &Type)> + '_> {
+        let inherited = self
+            .base
+            .iter()
+            .flat_map(|base| base.globals())
+            .filter(|(name, _)| !self.globals.contains_key(name));
+        Box::new(self.globals.iter().chain(inherited))
     }
 }
 
@@ -770,16 +814,16 @@ pub fn check_program(prog: &Program) -> Result<TypeEnv, (Symbol, CoreError)> {
 /// # Errors
 ///
 /// The first [`CoreError`], annotated with the binding's name.
-pub fn check_module<'a>(
+pub fn check_module(
     env: &mut TypeEnv,
-    data_decls: impl IntoIterator<Item = &'a Arc<DataDecl>>,
-    bindings: impl IntoIterator<Item = &'a TopBind> + Clone,
+    data_decls: &[Arc<DataDecl>],
+    bindings: &[Arc<TopBind>],
 ) -> Result<(), (Symbol, CoreError)> {
     for decl in data_decls {
         env.add_data_decl(Arc::clone(decl));
     }
     // Globals first: all top-level bindings are mutually recursive.
-    for bind in bindings.clone() {
+    for bind in bindings {
         env.define_global(bind.name, bind.ty.clone());
     }
     for bind in bindings {
@@ -1068,13 +1112,34 @@ mod tests {
     }
 
     #[test]
+    fn an_environment_over_a_base_sees_it_shadows_it_and_leaves_it_alone() {
+        let mut base = TypeEnv::new();
+        let int = Type::con0(&base.builtins.int);
+        let int_hash = Type::con0(&base.builtins.int_hash);
+        base.define_global("shared", int.clone());
+        base.define_global("shadowed", int.clone());
+        let base = Arc::new(base);
+        let mut env = TypeEnv::over(Arc::clone(&base));
+        env.define_global("shadowed", int_hash.clone());
+        env.define_global("own", int_hash.clone());
+        assert_eq!(env.global("shared".into()), Some(&int));
+        assert_eq!(env.global("shadowed".into()), Some(&int_hash));
+        assert!(env.tycon(base.builtins.int.name).is_some());
+        let mut globals: Vec<String> = env.globals().map(|(n, t)| format!("{n} {t}")).collect();
+        globals.sort();
+        assert_eq!(globals, ["own Int#", "shadowed Int#", "shared Int"]);
+        assert_eq!(base.global("shadowed".into()), Some(&int));
+        assert!(base.global("own".into()).is_none());
+    }
+
+    #[test]
     fn whole_program_check() {
         let env0 = TypeEnv::new();
         let b = &env0.builtins;
         let ih = Type::con0(&b.int_hash);
         let prog = Program {
             data_decls: b.data_decls.clone(),
-            bindings: vec![TopBind {
+            bindings: vec![Arc::new(TopBind {
                 name: "inc".into(),
                 ty: Type::fun(ih.clone(), ih.clone()),
                 expr: CoreExpr::lam(
@@ -1085,7 +1150,7 @@ mod tests {
                         vec![CoreExpr::Var("x".into()), CoreExpr::int(1)],
                     ),
                 ),
-            }],
+            })],
         };
         let env = check_program(&prog).unwrap();
         assert!(env.global("inc".into()).is_some());
@@ -1097,11 +1162,11 @@ mod tests {
         let b = &env0.builtins;
         let prog = Program {
             data_decls: b.data_decls.clone(),
-            bindings: vec![TopBind {
+            bindings: vec![Arc::new(TopBind {
                 name: "bad".into(),
                 ty: Type::con0(&b.int),
                 expr: CoreExpr::int(1), // Int# , not Int
-            }],
+            })],
         };
         let (name, err) = check_program(&prog).unwrap_err();
         assert_eq!(name, Symbol::intern("bad"));

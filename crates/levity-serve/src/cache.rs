@@ -5,6 +5,15 @@
 //! [`Compiled`] (Core, `M` globals, env-engine [`CodeProgram`] and
 //! flat bytecode), behind an `Arc` so every worker shares one copy.
 //!
+//! What an entry holds: the module's elaborated Core, its optimised
+//! Core, the `M` globals, `Code`, bytecode and the verifier's witness.
+//! A program compiled with the prelude shares the driver's prelude seed
+//! rather than copying it: its elaborated program holds the seed's
+//! bindings by `Arc`, and its type environment and class table sit over
+//! the seed's. An entry is therefore its own module plus pointers into
+//! the seed, a few KiB to a few tens of KiB on the serving corpus
+//! (`tests/footprint.rs` pins it), and evicting one frees only that.
+//!
 //! Concurrency contract: when N workers ask for the same uncached
 //! program at once, the pipeline runs **once** — the entry is a
 //! [`OnceLock`], so the first worker compiles while the rest block on
@@ -111,11 +120,13 @@ impl Slots {
             .or_else(|| self.order.front().copied())
     }
 
-    fn remove(&mut self, key: u64) {
-        self.map.remove(&key);
+    /// Removes `key`'s slot and returns it, for the caller to drop
+    /// once the lock is released.
+    fn remove(&mut self, key: u64) -> Option<Arc<Slot>> {
         if let Some(ix) = self.order.iter().position(|k| *k == key) {
             self.order.remove(ix);
         }
+        self.map.remove(&key)
     }
 }
 
@@ -187,6 +198,7 @@ impl ProgramCache {
         with_prelude: bool,
     ) -> (CompileResult, bool) {
         let key = content_hash(source, opt_level, with_prelude);
+        let mut evicted = Vec::new();
         let slot = {
             let mut slots = self.lock_slots();
             if let Some(slot) = slots.map.get(&key) {
@@ -194,7 +206,7 @@ impl ProgramCache {
             } else {
                 while slots.map.len() >= self.capacity {
                     let Some(victim) = slots.victim() else { break };
-                    slots.remove(victim);
+                    evicted.extend(slots.remove(victim));
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 let slot = Arc::new(Slot {
@@ -206,6 +218,10 @@ impl ProgramCache {
                 slot
             }
         };
+        // Free the victims now that the lock is released: the cache may
+        // hold the last reference to a `Compiled`, and freeing one must
+        // not stall every other worker's lookup, cache hits included.
+        drop(evicted);
         if &*slot.source != source {
             // A 64-bit collision: never serve the other tenant's
             // program. Compile uncached.

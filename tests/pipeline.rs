@@ -982,6 +982,8 @@ mod pipeline_error_reachability {
         // elaborator must emit well-typed Core), so drive the lint stage
         // directly with an ill-typed program and check the error plumbs
         // into the pipeline's variant.
+        use std::sync::Arc;
+
         use levity::ir::terms::{CoreExpr, Program, TopBind};
         use levity::ir::typecheck::{check_program, TypeEnv};
         use levity::ir::types::Type;
@@ -991,12 +993,12 @@ mod pipeline_error_reachability {
         let int_hash = Type::con0(&env.builtins.int_hash);
         let program = Program {
             data_decls: vec![],
-            bindings: vec![TopBind {
+            bindings: vec![Arc::new(TopBind {
                 name: Symbol::intern("bad"),
                 // Claimed type Int# -> Int#, actual type Int#.
                 ty: Type::fun(int_hash.clone(), int_hash),
                 expr: CoreExpr::int(3),
-            }],
+            })],
         };
         let (name, core_err) = check_program(&program).unwrap_err();
         assert_eq!(name, Symbol::intern("bad"));

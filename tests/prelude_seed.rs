@@ -8,6 +8,10 @@
 //! * the same elaborated datatypes and bindings, as multisets of their
 //!   `Debug` renders: the same Core per binding, with names and
 //!   metavariables numbered alike;
+//! * the same elaborated environment: its globals' types, the class
+//!   table's classes, instances and methods, and the type families, each
+//!   as a multiset of `Debug` renders. The seeded compile layers these
+//!   over the seed's instead of copying them;
 //! * byte-identical bytecode disassembly;
 //! * the same optimised Core under the golden printer, at `O2`;
 //! * an equal `OptReport`;
@@ -52,6 +56,12 @@ struct Observed {
     data_decls: Vec<String>,
     /// The elaborated bindings' `Debug` renders, sorted.
     bindings: Vec<String>,
+    /// The elaborated environment's `(global, type)` renders, sorted.
+    globals: Vec<String>,
+    /// The class table's classes, instances and methods, each sorted.
+    classes: [Vec<String>; 3],
+    /// The type families' renders, sorted.
+    families: Vec<String>,
     /// The golden render of the optimised Core; `None` at `O0`.
     core: Option<String>,
     disasm: String,
@@ -59,8 +69,8 @@ struct Observed {
     runs: Vec<String>,
 }
 
-fn sorted_debug<T: std::fmt::Debug>(items: &[T]) -> Vec<String> {
-    let mut out: Vec<String> = items.iter().map(|i| format!("{i:?}")).collect();
+fn sorted_debug(items: impl IntoIterator<Item = impl std::fmt::Debug>) -> Vec<String> {
+    let mut out: Vec<String> = items.into_iter().map(|i| format!("{i:?}")).collect();
     out.sort();
     out
 }
@@ -74,10 +84,18 @@ fn observe(compiled: &Compiled) -> Observed {
     } else {
         Vec::new()
     };
-    let elaborated = &compiled.elaborated.program;
+    let elaborated = &compiled.elaborated;
+    let classes = &elaborated.classes;
     Observed {
-        data_decls: sorted_debug(&elaborated.data_decls),
-        bindings: sorted_debug(&elaborated.bindings),
+        data_decls: sorted_debug(&elaborated.program.data_decls),
+        bindings: sorted_debug(&elaborated.program.bindings),
+        globals: sorted_debug(elaborated.env.globals()),
+        classes: [
+            sorted_debug(&classes.classes),
+            sorted_debug(&classes.instances),
+            sorted_debug(&classes.methods),
+        ],
+        families: sorted_debug(elaborated.families.iter()),
         core: (compiled.opt_level == OptLevel::O2).then(|| render(&compiled.program)),
         disasm: compiled.bytecode.disasm(),
         report: format!("{:?}", compiled.opt_report),
@@ -238,6 +256,19 @@ fn new_declarations_compile_identically() {
             "twice f x = f (f x)\nmain :: Int\nmain = twice (\\n -> n + 1) 40\n",
         ),
         (
+            "an Eq instance at a new type",
+            "data W = W Int#\n\
+             instance Eq W where { (==) a b = case a of { W x -> case b of { W y -> x == y } }; \
+             (/=) a b = not (a == b) }\n\
+             main :: Int#\nmain = if W 1# == W 1# then 1# else 0#\n",
+        ),
+        (
+            "a type family",
+            "type family F a :: TYPE IntRep where { F Int = Int# }\n\
+             double :: Int# -> Int#\ndouble x = x +# x\n\
+             main :: Int#\nmain = double 21#\n",
+        ),
+        (
             "an instance of a prelude class at a new type",
             "data V = V Int#\n\
              instance Num V where { (+) a b = case a of { V x -> case b of { V y -> V (x +# y) } }; \
@@ -247,6 +278,37 @@ fn new_declarations_compile_identically() {
         ("an empty module", ""),
         ("only a comment", "-- nothing here\n"),
     ]);
+}
+
+/// A module elaborated after the seed starts from a unifier that has
+/// solved none of the seed's metavariables. That is sound because
+/// nothing in the seed's scope mentions one: every global's type, every
+/// class method's type and every instance head is zonked.
+#[test]
+fn the_seeds_scope_mentions_no_metavariable() {
+    let compiled = compile_with_prelude("").unwrap_or_else(|e| panic!("{e}"));
+    let elaborated = &compiled.elaborated;
+    let classes = &elaborated.classes;
+    let types = elaborated
+        .env
+        .globals()
+        .map(|(_, ty)| ty)
+        .chain(
+            classes
+                .classes
+                .values()
+                .flat_map(|c| c.methods.iter().map(|(_, ty)| ty)),
+        )
+        .chain(classes.instances.iter().map(|i| &i.head));
+    for ty in types {
+        let metas: Vec<_> = ty
+            .free_ty_vars()
+            .into_iter()
+            .chain(ty.free_rep_vars())
+            .filter(|v| v.as_str().starts_with('?'))
+            .collect();
+        assert!(metas.is_empty(), "`{ty}` mentions {metas:?}");
+    }
 }
 
 /// Failures at each front-end stage report the same error both ways.
