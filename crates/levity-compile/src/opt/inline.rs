@@ -21,6 +21,18 @@
 //! size threshold is fair game, plus whatever the worker/wrapper pass
 //! explicitly marks (wrappers must disappear at call sites for the
 //! worker to tail-call itself directly).
+//!
+//! The pass works from the optimizer's entry points, through
+//! [`rewrite_reachable`]: it rewrites the entries, then whatever the
+//! rewritten bodies still call, and drops every binding no rewritten
+//! body reaches — a callee whose every call site was grafted goes in
+//! the pass that emptied it, as GHC drops a binding in the pass that
+//! inlines its last use. A chain `c_j x = c_{j-1} …` therefore
+//! collapses into `main` once, not into every `c_j` on the way, and
+//! the passes after it see only `main`. Every graft comes from the
+//! pre-pass snapshot of bodies, so the result does not depend on the
+//! visit order; the fresh binder names do, which is why the walk's
+//! order is fixed (see [`usage`](super::usage)).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -31,6 +43,7 @@ use levity_ir::terms::{CoreAlt, CoreExpr, LetKind, Program, TopBind};
 use levity_ir::types::Type;
 
 use super::subst::{globals_of, is_value_atom, refresh_binders, substitute};
+use super::usage::rewrite_reachable;
 
 /// Bodies above this node count are not worth duplicating.
 const INLINE_SIZE_LIMIT: usize = 64;
@@ -201,12 +214,18 @@ fn cyclic_globals(prog: &Program) -> HashSet<Symbol> {
     cyclic
 }
 
-/// Runs one inlining pass over the program. `force_inline` names
-/// bindings (worker/wrapper wrappers) inlined regardless of size.
-/// Returns the rewritten program and the number of call sites inlined.
-pub fn inline(prog: &Program, force_inline: &HashSet<Symbol>) -> (Program, usize) {
+/// Runs one inlining pass over the bindings reachable from `entries`.
+/// `force_inline` names bindings (worker/wrapper wrappers) inlined
+/// regardless of size. Returns the rewritten program — the rewritten
+/// reachable bindings only, in program order — and the number of call
+/// sites inlined.
+pub fn inline(
+    prog: &Program,
+    entries: &HashSet<Symbol>,
+    force_inline: &HashSet<Symbol>,
+) -> (Program, usize) {
     let cyclic = cyclic_globals(prog);
-    let mut bodies: HashMap<Symbol, CoreExpr> = HashMap::new();
+    let mut bodies: HashMap<Symbol, &CoreExpr> = HashMap::new();
     for b in &prog.bindings {
         // A worker/wrapper wrapper sits on a cycle *through its worker*
         // (the worker's recursive calls go back through the wrapper),
@@ -219,31 +238,21 @@ pub fn inline(prog: &Program, force_inline: &HashSet<Symbol>) -> (Program, usize
             b.expr.size() <= INLINE_SIZE_LIMIT && !cyclic.contains(&b.name)
         };
         if allowed {
-            bodies.insert(b.name, b.expr.clone());
+            bodies.insert(b.name, &b.expr);
         }
     }
     let mut count = 0usize;
-    let bindings = prog
-        .bindings
-        .iter()
-        .map(|b| {
-            Arc::new(TopBind {
-                name: b.name,
-                ty: b.ty.clone(),
-                expr: walk(&b.expr, &bodies, &mut count),
-            })
+    let out = rewrite_reachable(prog, entries, |b| {
+        Arc::new(TopBind {
+            name: b.name,
+            ty: b.ty.clone(),
+            expr: walk(&b.expr, &bodies, &mut count),
         })
-        .collect();
-    (
-        Program {
-            data_decls: prog.data_decls.clone(),
-            bindings,
-        },
-        count,
-    )
+    });
+    (out, count)
 }
 
-fn walk(e: &CoreExpr, bodies: &HashMap<Symbol, CoreExpr>, count: &mut usize) -> CoreExpr {
+fn walk(e: &CoreExpr, bodies: &HashMap<Symbol, &CoreExpr>, count: &mut usize) -> CoreExpr {
     // Try the node itself as a saturated call first.
     if matches!(e, CoreExpr::App(..)) {
         let (head, parts) = flatten_spine(e);

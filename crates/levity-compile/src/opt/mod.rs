@@ -26,7 +26,11 @@
 //!    small non-recursive calls β-reduce, case-of-known-constructor and
 //!    friends clean up; a multi-alternative case-of-case binds its
 //!    outer alternatives as **join points** ([`join`]) so continuations
-//!    flow inward without duplication (iterated to a bounded fixpoint);
+//!    flow inward without duplication (iterated to a bounded fixpoint).
+//!    The inliner rewrites only what the entry points reach *after* its
+//!    grafts ([`usage::rewrite_reachable`]), so it drops what it empties
+//!    in the same pass: a chain of definitions collapses into `main`
+//!    once, and the passes after it see `main` alone;
 //! 4. [`worker_wrapper`](ww::worker_wrapper) — strictly-demanded boxed
 //!    arguments split into an unboxed worker plus an inline wrapper,
 //!    with each binder's §6.2 register class read off its kind; a
@@ -36,12 +40,15 @@
 //!    workers tail-call themselves on raw registers, and CPR reboxes
 //!    cancel against call-site scrutinies;
 //! 6. [`eliminate_dead_globals`](usage::eliminate_dead_globals) again —
-//!    the specialised-away originals, orphaned selectors and stale
-//!    wrappers left behind by 1–5 are dropped: nothing reachable from
-//!    the entry points mentions them, so they would only cost lowering
-//!    and code size. The entry-point set is the caller's
+//!    the inline passes already dropped the specialised-away originals,
+//!    orphaned selectors and inlined wrappers; this sweep drops what
+//!    the simplify round after the last of them left unreachable (a
+//!    global mentioned only in a branch case-of-known-constructor
+//!    discarded, or in a dead `let`), which would otherwise cost
+//!    lowering and code size. The entry-point set is the caller's
 //!    ([`optimise_program`]'s `entry_points`; `None` skips both sweeps
-//!    and keeps every binding).
+//!    and makes every binding an entry of the inliner, so every
+//!    binding is kept).
 //!
 //! The worked §7.3 example, end to end. The elaborated
 //!
@@ -117,7 +124,7 @@ impl fmt::Display for OptLevel {
 /// rather than with the program). Counters for iterated passes
 /// therefore record the **busiest single round** ([`fold_round`]);
 /// worker/wrapper reports a plain total, and dead-global elimination
-/// the sum of its two sweeps.
+/// the sum of everything dropped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptReport {
     /// Monomorphised clones of constrained functions created (per-round
@@ -139,10 +146,12 @@ pub struct OptReport {
     /// Workers whose *result* was unboxed to `(# … #)` (constructed
     /// product result); a subset of [`OptReport::workers`].
     pub cpr_workers: usize,
-    /// Unreachable top-level bindings eliminated, summed over both
-    /// sweeps: the one before the passes (bindings the entries never
-    /// reached) and the one after them (originals, selectors and
-    /// wrappers the passes left unreachable).
+    /// Unreachable top-level bindings eliminated, summed over the two
+    /// sweeps and the inline passes: the sweep before the passes drops
+    /// what the entries never reached; each inline pass drops what its
+    /// grafts emptied (chain definitions, specialised-away originals,
+    /// inlined clones and wrappers); the sweep after them drops what
+    /// the simplify round after the last inline pass left unreachable.
     pub dead_globals: usize,
     /// Core-lint runs performed ([`crate::lint`]): after every pass
     /// under `debug_assertions`, once per optimise in release.
@@ -177,10 +186,10 @@ const SPEC_ROUNDS: usize = 3;
 /// [`TypeEnv`] — already covering any worker globals the split added,
 /// so the caller can lower without re-checking.
 ///
-/// `entry_points` drives dead-global elimination, before the passes
-/// and after them: bindings unreachable from the set are dropped. `None`
-/// disables elimination (every binding is kept, as before the pass
-/// existed).
+/// `entry_points` drives dead-global elimination, before the passes,
+/// in every inline pass and after them: bindings unreachable from the
+/// set are dropped. `None` makes every binding an entry, so every
+/// binding is kept.
 ///
 /// # Errors
 ///
@@ -208,7 +217,8 @@ pub fn optimise_program(
     let no_force: HashSet<Symbol> = HashSet::new();
     // The persistent (function, dictionary-tuple) → clone-name map: a
     // later round that re-exposes an already-specialised tuple
-    // redirects to the existing clone instead of minting a duplicate.
+    // redirects to the existing clone instead of minting a duplicate
+    // (or mints it again, if the inliner has since dropped it).
     let mut spec_cache: HashMap<String, Symbol> = HashMap::new();
     for round in 0..SPEC_ROUNDS {
         let (next, clones, calls) = spec_fun::specialise_functions(&cur, &mut spec_cache);
@@ -225,39 +235,20 @@ pub fn optimise_program(
         let (next, n) = specialise::specialise(&cur);
         fold_round(&mut report.specialised, n);
         cur = next;
-        let mut env = validate(&cur, "specialise", &mut report)?;
-        for _ in 0..ROUNDS {
-            let (next, n) = inline::inline(&cur, &no_force);
-            fold_round(&mut report.inlined, n);
-            cur = next;
-            env = validate(&cur, "inline", &mut report)?;
-            let (next, n, joins) = simplify::simplify(&env, &cur);
-            fold_round(&mut report.simplified, n);
-            fold_round(&mut report.join_points, joins);
-            cur = next;
-            env = validate(&cur, "simplify", &mut report)?;
-        }
+        let env = validate(&cur, "specialise", &mut report)?;
+        let (next, env) = inline_rounds(cur, env, entry_points, &no_force, &mut report)?;
+        cur = next;
         env_opt = Some(env);
     }
-    let mut env = env_opt.expect("the first spec round always runs");
+    let env = env_opt.expect("the first spec round always runs");
 
     let (next, wrappers, n, cpr) = ww::worker_wrapper(&env, &cur);
     report.workers = n;
     report.cpr_workers = cpr;
     cur = next;
-    env = validate(&cur, "worker/wrapper", &mut report)?;
-
-    for _ in 0..ROUNDS {
-        let (next, n) = inline::inline(&cur, &wrappers);
-        fold_round(&mut report.inlined, n);
-        cur = next;
-        env = validate(&cur, "inline", &mut report)?;
-        let (next, n, joins) = simplify::simplify(&env, &cur);
-        fold_round(&mut report.simplified, n);
-        fold_round(&mut report.join_points, joins);
-        cur = next;
-        env = validate(&cur, "simplify", &mut report)?;
-    }
+    let env = validate(&cur, "worker/wrapper", &mut report)?;
+    let (next, mut env) = inline_rounds(cur, env, entry_points, &wrappers, &mut report)?;
+    cur = next;
 
     if let Some(entries) = entry_points {
         let (next, dropped) = usage::eliminate_dead_globals(&cur, entries);
@@ -271,6 +262,40 @@ pub fn optimise_program(
         lint_after(&cur, "final", &env, &mut report);
     }
     Ok((cur, report, env))
+}
+
+/// [`ROUNDS`] rounds of inline + simplify, each pass validated. The
+/// inliner walks from `entry_points` — from every binding when there
+/// are none, so a library keeps all of them — and the bindings it
+/// leaves unreached are dropped on the spot, counted as dead globals.
+fn inline_rounds(
+    mut cur: Program,
+    mut env: TypeEnv,
+    entry_points: Option<&HashSet<Symbol>>,
+    force_inline: &HashSet<Symbol>,
+    report: &mut OptReport,
+) -> Result<(Program, TypeEnv), (Symbol, CoreError)> {
+    for _ in 0..ROUNDS {
+        let every_binding: HashSet<Symbol>;
+        let entries = match entry_points {
+            Some(entries) => entries,
+            None => {
+                every_binding = cur.bindings.iter().map(|b| b.name).collect();
+                &every_binding
+            }
+        };
+        let (next, n) = inline::inline(&cur, entries, force_inline);
+        fold_round(&mut report.inlined, n);
+        report.dead_globals += cur.bindings.len() - next.bindings.len();
+        cur = next;
+        env = validate(&cur, "inline", report)?;
+        let (next, n, joins) = simplify::simplify(&env, &cur);
+        fold_round(&mut report.simplified, n);
+        fold_round(&mut report.join_points, joins);
+        cur = next;
+        env = validate(&cur, "simplify", report)?;
+    }
+    Ok((cur, env))
 }
 
 /// Re-typechecks the program after a pass (always), and — under

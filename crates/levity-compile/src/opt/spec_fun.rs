@@ -43,8 +43,8 @@
 //! instance-method calls, inlining and the simplifier clean up, and
 //! worker/wrapper unboxes their arguments — so a specialised clone ends
 //! up exactly as fast as a hand-monomorphised function. The originals
-//! are left in place; [`usage`](super::usage) drops the unreachable
-//! ones afterwards.
+//! are left in place; the inliner and [`usage`](super::usage) drop the
+//! unreachable ones afterwards.
 //!
 //! Dropping a dictionary λ is outcome-exact: a dictionary is a lifted
 //! record whose evaluation builds a constructor of instance-method
@@ -493,7 +493,8 @@ fn redirect(
 /// caller's fixed-point rounds: a later round that exposes another
 /// call site with an already-specialised tuple (say, after
 /// let-of-atom collapsed `let d = $dNum_Int in f @Int d`) redirects it
-/// to the *existing* clone instead of minting a duplicate.
+/// to the *existing* clone instead of minting a duplicate. Entries
+/// whose clone `prog` no longer binds are dropped first.
 pub fn specialise_functions(
     prog: &Program,
     cache: &mut HashMap<String, Symbol>,
@@ -510,6 +511,11 @@ pub fn specialise_functions(
             candidates.insert(b.name, c);
         }
     }
+    // The inliner drops a clone once it has grafted every call: forget
+    // it, so a call site that exposes its tuple again mints the clone
+    // afresh (under the same name) instead of redirecting to a name the
+    // program no longer binds.
+    cache.retain(|_, clone| taken.contains(clone));
     if candidates.is_empty() {
         return (prog.clone(), 0, 0);
     }
@@ -573,4 +579,120 @@ pub fn specialise_functions(
         new_clones,
         redirected,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use levity_core::kind::Kind;
+    use levity_core::rep::Rep;
+    use levity_ir::terms::{DataConInfo, TyArg, TyParam};
+    use levity_ir::typecheck::{check_program, TypeEnv};
+
+    /// `f :: ∀ (a :: TYPE IntRep). Pick a -> a -> a` (a constrained
+    /// identity), the dictionary `$dPick_Int#`, and `use = f @Int#
+    /// $dPick_Int# 5#`; with the key of `use`'s call.
+    fn constrained_call() -> (Program, String) {
+        let env = TypeEnv::new();
+        let ih = Type::con0(&env.builtins.int_hash);
+        let a: Symbol = "a".into();
+        let dict_ty = |t: Type| Type::Dict("Pick".into(), Box::new(t));
+        let int_rep = || Kind::of_rep(Rep::Int);
+
+        // data Pick (a :: TYPE IntRep) = MkPick (a -> a)
+        let dict_con = Arc::new(DataConInfo {
+            name: "MkPick".into(),
+            tag: 0,
+            params: vec![TyParam::Ty(a, int_rep())],
+            field_types: vec![Type::fun(Type::Var(a), Type::Var(a))],
+            result: dict_ty(Type::Var(a)),
+        });
+        let id_int = TopBind {
+            name: "idInt".into(),
+            ty: Type::fun(ih.clone(), ih.clone()),
+            expr: CoreExpr::lam("y", ih.clone(), CoreExpr::Var("y".into())),
+        };
+        let dict = TopBind {
+            name: "$dPick_Int#".into(),
+            ty: dict_ty(ih.clone()),
+            expr: CoreExpr::Con(
+                dict_con,
+                vec![TyArg::Ty(ih.clone())],
+                vec![CoreExpr::Global("idInt".into())],
+            ),
+        };
+        let f = TopBind {
+            name: "f".into(),
+            ty: Type::forall_ty(
+                a,
+                int_rep(),
+                Type::fun(dict_ty(Type::Var(a)), Type::fun(Type::Var(a), Type::Var(a))),
+            ),
+            expr: CoreExpr::ty_lam(
+                a,
+                int_rep(),
+                CoreExpr::lam(
+                    "d",
+                    dict_ty(Type::Var(a)),
+                    CoreExpr::lam("x", Type::Var(a), CoreExpr::Var("x".into())),
+                ),
+            ),
+        };
+        let call = CoreExpr::app(
+            CoreExpr::app(
+                CoreExpr::ty_app(CoreExpr::Global("f".into()), ih.clone()),
+                CoreExpr::Global("$dPick_Int#".into()),
+            ),
+            CoreExpr::int(5),
+        );
+        let user = TopBind {
+            name: "use".into(),
+            ty: ih.clone(),
+            expr: call,
+        };
+        let prog = Program {
+            data_decls: env.builtins.data_decls.clone(),
+            bindings: vec![id_int.into(), dict.into(), f.into(), user.into()],
+        };
+        check_program(&prog).expect("the input program is well-typed");
+        let key = SpecArgs {
+            reps: vec![],
+            tys: vec![(a, ih)],
+            dicts: vec!["$dPick_Int#".into()],
+        }
+        .key("f".into());
+        (prog, key)
+    }
+
+    /// A call whose tuple the cache already maps to a bound clone is
+    /// redirected to it, and no duplicate is minted.
+    #[test]
+    fn a_cached_clone_the_program_binds_is_reused() {
+        let (prog, key) = constrained_call();
+        let mut cache = HashMap::new();
+        let (first, clones, calls) = specialise_functions(&prog, &mut cache);
+        assert_eq!((clones, calls), (1, 1));
+        let clone = cache[&key];
+        let (again, clones, _) = specialise_functions(&first, &mut cache);
+        assert_eq!(clones, 0, "the bound clone is reused");
+        assert_eq!(cache[&key], clone);
+        assert_eq!(again.bindings.len(), first.bindings.len());
+        check_program(&again).expect("the redirect stays well-typed");
+    }
+
+    /// Negative space: once the inliner has dropped a clone, a cache
+    /// entry naming it must not redirect a call to a name the program
+    /// no longer binds. The clone is minted again, under that name.
+    #[test]
+    fn a_cached_clone_the_program_no_longer_binds_is_minted_again() {
+        let (prog, key) = constrained_call();
+        let dropped: Symbol = "$sf@Int#".into();
+        assert!(prog.binding(dropped).is_none());
+        let mut cache = HashMap::from([(key.clone(), dropped)]);
+        let (out, clones, calls) = specialise_functions(&prog, &mut cache);
+        check_program(&out).expect("every redirect names a bound clone");
+        assert!(out.binding(dropped).is_some(), "the clone is bound again");
+        assert_eq!(cache[&key], dropped, "under the same name");
+        assert_eq!((clones, calls), (1, 1));
+    }
 }

@@ -1,79 +1,99 @@
-//! Global usage analysis and dead-global elimination.
+//! Global usage analysis: one reachability walk over the top-level
+//! call graph, shared by dead-global elimination and the inliner.
 //!
 //! Function specialisation leaves the constrained originals behind with
 //! no remaining callers, the dictionary pass orphans selectors whose
-//! every projection became a direct instance-method call, and the
+//! every projection became a direct instance-method call, the inliner
+//! empties every small callee it grafts into all its callers, and the
 //! worker/wrapper split strands wrappers once every call site has
-//! inlined them. Until this pass, all of them were still lowered,
-//! compiled into the environment engine's [`CodeProgram`], and carried
-//! through every run — paying compile time and code size for bindings
-//! no execution can reach.
+//! inlined them. Kept, all of them would still be re-typechecked after
+//! every pass, lowered, compiled into the environment engine's
+//! [`CodeProgram`], and carried through every run — paying compile
+//! time and code size for bindings no execution can reach.
 //!
-//! The analysis is a reachability walk over the top-level call graph
-//! ([`globals_of`] collects each binding's referenced globals) from an
-//! explicit *entry-point set*. The driver chooses the set: `main` when
-//! the program defines it, every global otherwise — and callers can
-//! name their own (see `levity-driver`'s `compile_*_entries`). A
-//! binding outside the reachable set cannot influence any run from the
-//! entries, so dropping it is outcome-exact by construction; the
-//! re-typecheck after the pass certifies no reachable binding lost a
-//! callee.
+//! [`rewrite_reachable`] walks the call graph ([`globals_of`] collects
+//! each body's referenced globals) from an explicit *entry-point set*,
+//! rewrites every binding it reaches, follows the globals of the
+//! *rewritten* body, and drops everything else. The driver chooses the
+//! set: `main` when the program defines it, every global otherwise —
+//! and callers can name their own (see `levity-driver`'s
+//! `compile_*_entries`). A binding outside the reachable set cannot
+//! influence any run from the entries, so dropping it is outcome-exact
+//! by construction; the re-typecheck after the pass certifies no
+//! reachable binding lost a callee. Two passes use the walk:
+//!
+//! * [`eliminate_dead_globals`] rewrites nothing (each kept binding
+//!   keeps its `Arc`);
+//! * [`inline`](super::inline::inline) rewrites each reached binding by
+//!   grafting its callees, so a callee whose every call was grafted is
+//!   not reached and is dropped in the same pass (GHC drops a binding
+//!   in the pass that inlines its last use).
+//!
+//! The visit order is fixed: the entries in program order, then each
+//! rewritten body's callees in [`globals_of`]'s first-occurrence order,
+//! first in, first out — never a hash set's order. The inliner mints
+//! fresh binder names in visit order, so a fixed order keeps them the
+//! same on every run; with every binding an entry, the order is the
+//! program's own.
 //!
 //! [`CodeProgram`]: levity_m::compile::CodeProgram
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use levity_core::symbol::Symbol;
-use levity_ir::terms::Program;
+use levity_ir::terms::{Program, TopBind};
 
 use super::subst::globals_of;
 
-/// The set of globals reachable from `entries` through top-level
-/// bindings' bodies. Entries that name no binding contribute nothing.
-pub fn reachable_globals(prog: &Program, entries: &HashSet<Symbol>) -> HashSet<Symbol> {
-    let mut reachable: HashSet<Symbol> = HashSet::new();
-    let mut work: Vec<Symbol> = entries
-        .iter()
-        .copied()
-        .filter(|n| prog.binding(*n).is_some())
-        .collect();
-    while let Some(name) = work.pop() {
-        if !reachable.insert(name) {
-            continue;
+/// Rewrites every binding reachable from `entries` with `rewrite`,
+/// following the globals of each *rewritten* body, and returns the
+/// program of exactly the rewritten bindings, in `prog`'s binding
+/// order. Entries that name no binding contribute nothing. Datatype
+/// declarations are kept — they carry no code.
+pub fn rewrite_reachable(
+    prog: &Program,
+    entries: &HashSet<Symbol>,
+    mut rewrite: impl FnMut(&Arc<TopBind>) -> Arc<TopBind>,
+) -> Program {
+    let mut position: HashMap<Symbol, usize> = HashMap::with_capacity(prog.bindings.len());
+    let mut queued = vec![false; prog.bindings.len()];
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    for (i, b) in prog.bindings.iter().enumerate() {
+        position.entry(b.name).or_insert(i);
+        if entries.contains(&b.name) {
+            queued[i] = true;
+            queue.push_back(i);
         }
-        if let Some(bind) = prog.binding(name) {
-            let mut callees = Vec::new();
-            globals_of(&bind.expr, &mut callees);
-            for callee in callees {
-                if !reachable.contains(&callee) {
-                    work.push(callee);
+    }
+    let mut reached: Vec<Option<Arc<TopBind>>> = vec![None; prog.bindings.len()];
+    let mut callees = Vec::new();
+    while let Some(i) = queue.pop_front() {
+        let bind = rewrite(&prog.bindings[i]);
+        callees.clear();
+        globals_of(&bind.expr, &mut callees);
+        for callee in &callees {
+            if let Some(&j) = position.get(callee) {
+                if !queued[j] {
+                    queued[j] = true;
+                    queue.push_back(j);
                 }
             }
         }
+        reached[i] = Some(bind);
     }
-    reachable
+    Program {
+        data_decls: prog.data_decls.clone(),
+        bindings: reached.into_iter().flatten().collect(),
+    }
 }
 
 /// Drops every binding not reachable from `entries`. Returns the
-/// pruned program and the number of bindings eliminated. Datatype
-/// declarations are kept — they carry no code.
+/// pruned program and the number of bindings eliminated.
 pub fn eliminate_dead_globals(prog: &Program, entries: &HashSet<Symbol>) -> (Program, usize) {
-    let keep = reachable_globals(prog, entries);
-    let before = prog.bindings.len();
-    let bindings: Vec<_> = prog
-        .bindings
-        .iter()
-        .filter(|b| keep.contains(&b.name))
-        .cloned()
-        .collect();
-    let dropped = before - bindings.len();
-    (
-        Program {
-            data_decls: prog.data_decls.clone(),
-            bindings,
-        },
-        dropped,
-    )
+    let pruned = rewrite_reachable(prog, entries, Arc::clone);
+    let dropped = prog.bindings.len() - pruned.bindings.len();
+    (pruned, dropped)
 }
 
 #[cfg(test)]
@@ -105,15 +125,42 @@ mod tests {
         }
     }
 
+    fn names(p: &Program) -> Vec<&str> {
+        p.bindings.iter().map(|b| b.name.as_str()).collect()
+    }
+
     #[test]
     fn reachability_follows_the_call_graph() {
         let p = prog();
         let entries: HashSet<Symbol> = ["main".into()].into();
-        let r = reachable_globals(&p, &entries);
-        assert!(r.contains(&Symbol::intern("main")));
-        assert!(r.contains(&Symbol::intern("helper")));
-        assert!(!r.contains(&Symbol::intern("orphan")));
-        assert!(!r.contains(&Symbol::intern("orphanHelper")));
+        let (out, _) = eliminate_dead_globals(&p, &entries);
+        assert_eq!(names(&out), ["main", "helper"]);
+    }
+
+    /// The walk follows the *rewritten* bodies: a rewrite that moves
+    /// `main`'s call from `helper` to `orphan` reaches `orphan` and its
+    /// callee, and `helper` — reached by no rewritten body — is gone.
+    /// Bindings are visited entries first, in program order, then
+    /// callees first in, first out, and come back in program order.
+    #[test]
+    fn the_walk_follows_rewritten_bodies_in_a_fixed_order() {
+        let p = prog();
+        let entries: HashSet<Symbol> = ["orphanHelper".into(), "main".into()].into();
+        let mut visited = Vec::new();
+        let out = rewrite_reachable(&p, &entries, |b| {
+            visited.push(b.name.as_str());
+            if b.name == Symbol::intern("main") {
+                Arc::new(TopBind {
+                    name: b.name,
+                    ty: b.ty.clone(),
+                    expr: CoreExpr::Global("orphan".into()),
+                })
+            } else {
+                Arc::clone(b)
+            }
+        });
+        assert_eq!(visited, ["main", "orphanHelper", "orphan"]);
+        assert_eq!(names(&out), ["main", "orphan", "orphanHelper"]);
     }
 
     #[test]

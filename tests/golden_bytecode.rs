@@ -1,7 +1,7 @@
 //! Golden-bytecode snapshot tests: the Engine 3 compiler's flat code,
 //! pinned.
 //!
-//! Each golden program (`support/golden.rs`, the same thirteen programs
+//! Each golden program (`support/golden.rs`, the same fourteen programs
 //! the golden-Core suite pins) compiles at the default level and the
 //! disassembly of its whole [`BcProgram`] — every global's chunk, in
 //! program order, with resolved jump offsets, frame sizes and fused

@@ -2,8 +2,12 @@
 //! dictionary elaboration, levity checks, lowering, and the machine.
 
 use levity::core::diag::{line_col, ErrorCode};
-use levity::driver::{compile_source, compile_with_prelude, Compiled, PipelineError};
+use levity::driver::{
+    compile_source, compile_with_prelude, compile_with_prelude_opt, Compiled, OptLevel,
+    PipelineError,
+};
 use levity::m::machine::RunOutcome;
+use levity::serve::corpus::chain_module;
 
 const FUEL: u64 = 50_000_000;
 
@@ -120,6 +124,50 @@ fn unreachable_bindings_are_pruned_before_the_optimizer_runs() {
         compiled.elaborated.program.bindings.len() - 1,
         "every binding but main is dropped"
     );
+}
+
+#[test]
+fn chain_modules_collapse_in_linear_optimizer_work() {
+    // A scaling pin on work, not time: doubling a chain module may at
+    // most 2.5× the inliner's and the simplifier's busiest round. The
+    // inliner collapses the chain into `main` once and drops each
+    // emptied definition; grafting every callee into every definition
+    // and keeping them all grows both counts ~3.9× per doubling.
+    //
+    // The collapsed chain is one 64-deep body, and the optimizer's
+    // recursive walks over it need more than a test thread's 2 MiB
+    // stack in a debug build (from 48 levels on; nesting depth is an
+    // open ROADMAP item). This pin counts work, so it gives the
+    // compile room.
+    let compile_and_run = |levels: u64| {
+        let source = chain_module(levels);
+        let result = move |level| {
+            let compiled = compile_with_prelude_opt(&source, level).unwrap();
+            let (out, _) = compiled.run("main", FUEL).unwrap();
+            (out.value().and_then(|v| v.as_int()), compiled.opt_report)
+        };
+        let ((o2, report), (o0, _)) = (result(OptLevel::O2), result(OptLevel::O0));
+        assert!(
+            o2.is_some() && o2 == o0,
+            "chain/{levels}: O2 {o2:?}, O0 {o0:?}"
+        );
+        report
+    };
+    let (at32, at64) = std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(move || (compile_and_run(32), compile_and_run(64)))
+        .unwrap()
+        .join()
+        .unwrap();
+    for (what, small, large) in [
+        ("inlined", at32.inlined, at64.inlined),
+        ("simplified", at32.simplified, at64.simplified),
+    ] {
+        assert!(
+            2 * large <= 5 * small,
+            "`{what}` grew {small} -> {large} (more than 2.5x) from 32 to 64 levels"
+        );
+    }
 }
 
 #[test]

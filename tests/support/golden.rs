@@ -137,6 +137,31 @@ pub const GOLDEN: &[(&str, &str)] = &[
          main :: Int\n\
          main = bounce 2 3#\n",
     ),
+    (
+        // An 8-level chain (`levity_serve::corpus::chain_module(8)`):
+        // each definition calls the one below through a primop, a `Num`
+        // method at `Int#` or a branch, and inlining collapses the whole
+        // chain into `main`.
+        "chain8",
+        "c0 :: Int# -> Int#\n\
+         c0 x = x +# 7#\n\
+         c1 :: Int# -> Int#\n\
+         c1 x = c0 (x - 8#) + 13#\n\
+         c2 :: Int# -> Int#\n\
+         c2 x = c1 (case x <# 74# of { 0# -> x -# 15#; _ -> x +# 15# }) +# 26#\n\
+         c3 :: Int# -> Int#\n\
+         c3 x = c2 (x +# 22#) -# 39#\n\
+         c4 :: Int# -> Int#\n\
+         c4 x = c3 (x - 29#) + 2#\n\
+         c5 :: Int# -> Int#\n\
+         c5 x = c4 (case x <# 185# of { 0# -> x -# 36#; _ -> x +# 36# }) +# 15#\n\
+         c6 :: Int# -> Int#\n\
+         c6 x = c5 (x +# 43#) -# 28#\n\
+         c7 :: Int# -> Int#\n\
+         c7 x = c6 (x - 50#) + 41#\n\
+         main :: Int#\n\
+         main = c7 5#\n",
+    ),
 ];
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! The static bytecode verifier, end to end:
 //!
-//! * **corpus** — every golden-bytecode program (the same thirteen the
+//! * **corpus** — every golden-bytecode program (the same fourteen the
 //!   snapshot suites pin), at `O0` *and* `O2`, must verify and must
 //!   pass every Core lint rule with zero errors;
 //! * **negative pins** — hand-built chunks exercising each
@@ -17,6 +17,8 @@
 //!   This is the soundness story in executable form: the dispatch loop
 //!   skips exactly the checks the verifier discharged.
 
+mod support;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -31,118 +33,7 @@ use levity::m::syntax::{Addr, Atom, Binder, Literal, MExpr, PrimOp};
 use levity::m::verify::{verify, VerifyErrorKind};
 use levity::m::{BcProgram, Engine};
 
-/// The golden corpus — kept in lockstep with `golden_core.rs` and
-/// `golden_bytecode.rs`, so every program whose Core and flat code are
-/// pinned is also pinned to verify and lint clean.
-const GOLDEN: &[(&str, &str)] = &[
-    (
-        "sum_to_boxed",
-        "sumTo :: Int -> Int -> Int\n\
-         sumTo acc n = case n of { I# k -> case k of { 0# -> acc; _ -> sumTo (acc + n) (n - 1) } }\n\
-         main :: Int\n\
-         main = sumTo 0 5000\n",
-    ),
-    (
-        "sum_to_unboxed",
-        "sumTo# :: Int# -> Int# -> Int#\n\
-         sumTo# acc n = case n of { 0# -> acc; _ -> sumTo# (acc +# n) (n -# 1#) }\n\
-         main :: Int#\n\
-         main = sumTo# 0# 5000#\n",
-    ),
-    (
-        "dict_unboxed",
-        "loop :: Int# -> Int# -> Int#\n\
-         loop acc n = case n of { 0# -> acc; _ -> loop (acc + n) (n - 1#) }\n\
-         main :: Int#\n\
-         main = loop 0# 2000#\n",
-    ),
-    (
-        "dict_boxed",
-        "loop :: Int -> Int -> Int\n\
-         loop acc n = case n of { I# k -> case k of { 0# -> acc; _ -> loop (acc + n) (n - 1) } }\n\
-         main :: Int\n\
-         main = loop 0 2000\n",
-    ),
-    (
-        "dict_poly_fn",
-        "step :: forall (a :: TYPE IntRep). Num a => a -> a\n\
-         step x = x + x\n\
-         loop :: Int# -> Int# -> Int#\n\
-         loop acc n = case n of { 0# -> acc; _ -> loop (acc + step n) (n - 1#) }\n\
-         main :: Int#\n\
-         main = loop 0# 2000#\n",
-    ),
-    (
-        "dict_poly_fn_boxed",
-        "step :: Num a => a -> a\n\
-         step x = x + x\n\
-         loop :: Int -> Int -> Int\n\
-         loop acc n = case n of { I# k -> case k of { 0# -> acc; _ -> loop (acc + step n) (n - 1) } }\n\
-         main :: Int\n\
-         main = loop 0 2000\n",
-    ),
-    (
-        "spec_square",
-        "square :: Num a => a -> a\n\
-         square x = x * x\n\
-         main :: Int\n\
-         main = square 7\n",
-    ),
-    (
-        "cpr_divmod",
-        "data QR = QR Int# Int#\n\
-         divMod# :: Int# -> Int# -> QR\n\
-         divMod# n d = case n <# d of { 1# -> QR 0# n; _ -> case divMod# (n -# d) d of { QR q r -> QR (q +# 1#) r } }\n\
-         loop :: Int# -> Int# -> Int#\n\
-         loop acc n = case n of { 0# -> acc; _ -> case divMod# n 3# of { QR q r -> loop (acc +# q +# r) (n -# 1#) } }\n\
-         main :: Int#\n\
-         main = loop 0# 5000#\n",
-    ),
-    (
-        "cpr_accumulator",
-        "data QR = QR Int# Int#\n\
-         spin :: Int# -> Int# -> QR\n\
-         spin acc n = case n of { 0# -> QR acc n; _ -> spin (acc +# n) (n -# 1#) }\n\
-         main :: Int#\n\
-         main = case spin 0# 5000# of { QR s z -> s +# z }\n",
-    ),
-    (
-        "cpr_escape",
-        "data QR = QR Int# Int#\n\
-         mk :: Int# -> QR\n\
-         mk n = case n <# 0# of { 1# -> QR 0# n; _ -> case mk (n -# 1#) of { QR a b -> QR (a +# n) b } }\n\
-         main :: QR\n\
-         main = mk 3#\n",
-    ),
-    (
-        "join_diamond",
-        "data QR = QR Int# Int#\n\
-         pick :: Int# -> Int# -> QR\n\
-         pick a b = case (case a <# b of { 1# -> QR a b; _ -> QR b a }) of { QR x y -> QR (x +# 100#) y }\n\
-         use :: Int# -> Int#\n\
-         use n = case pick n 5# of { QR u v -> u +# (v *# 2#) +# (u -# v) +# (u *# v) }\n\
-         main :: Int#\n\
-         main = use 3#\n",
-    ),
-    (
-        "tuple_divmod",
-        "divMod# :: Int# -> Int# -> (# Int#, Int# #)\n\
-         divMod# n k = (# quotInt# n k, remInt# n k #)\n\
-         useBoth :: Int# -> Int# -> Int#\n\
-         useBoth n k = case divMod# n k of { (# q, r #) -> q +# r }\n\
-         main :: Int#\n\
-         main = useBoth 17# 5#\n",
-    ),
-    (
-        "spec_mutual",
-        "bounce :: Num a => a -> Int# -> a\n\
-         bounce x n = case n of { 0# -> x; _ -> rebound (x + x) (n -# 1#) }\n\
-         rebound :: Num a => a -> Int# -> a\n\
-         rebound x n = case n of { 0# -> x; _ -> bounce (x * x) (n -# 1#) }\n\
-         main :: Int\n\
-         main = bounce 2 3#\n",
-    ),
-];
+use support::golden::GOLDEN;
 
 const FUEL: u64 = 200_000_000;
 
