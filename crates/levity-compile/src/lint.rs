@@ -1,9 +1,10 @@
 //! Core Lint: a pluggable rule runner over optimized [`Program`]s, in
 //! the spirit of GHC's `-dcore-lint`.
 //!
-//! The optimizer already re-typechecks after every pass
-//! ([`crate::opt`]); this module checks the *disciplines* the type
-//! system does not state but every later stage relies on:
+//! The optimizer already typechecks every pass's output ([`crate::opt`]
+//! re-checks what the pass changed); this module checks the
+//! *disciplines* the type system does not state but every later stage
+//! relies on:
 //!
 //! | rule | checks | broken invariant would surface as |
 //! |------|--------|-----------------------------------|

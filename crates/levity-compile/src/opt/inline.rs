@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use levity_core::rep::RepTy;
 use levity_core::symbol::Symbol;
-use levity_ir::terms::{CoreAlt, CoreExpr, LetKind, Program, TopBind};
+use levity_ir::terms::{CoreAlt, CoreExpr, LetKind, Program};
 use levity_ir::types::Type;
 
 use super::subst::{globals_of, is_value_atom, refresh_binders, substitute};
@@ -217,8 +217,8 @@ fn cyclic_globals(prog: &Program) -> HashSet<Symbol> {
 /// Runs one inlining pass over the bindings reachable from `entries`.
 /// `force_inline` names bindings (worker/wrapper wrappers) inlined
 /// regardless of size. Returns the rewritten program — the rewritten
-/// reachable bindings only, in program order — and the number of call
-/// sites inlined.
+/// reachable bindings only, in program order, each with no graft kept
+/// as the same `Arc` — and the number of call sites inlined.
 pub fn inline(
     prog: &Program,
     entries: &HashSet<Symbol>,
@@ -243,11 +243,9 @@ pub fn inline(
     }
     let mut count = 0usize;
     let out = rewrite_reachable(prog, entries, |b| {
-        Arc::new(TopBind {
-            name: b.name,
-            ty: b.ty.clone(),
-            expr: walk(&b.expr, &bodies, &mut count),
-        })
+        let before = count;
+        let expr = walk(&b.expr, &bodies, &mut count);
+        super::rebuilt(b, count - before, expr)
     });
     (out, count)
 }

@@ -10,9 +10,9 @@
 //! 0. [`eliminate_dead_globals`](usage::eliminate_dead_globals), when
 //!    the caller names entry points — every binding the entries cannot
 //!    reach is dropped before any pass runs, so the passes and the
-//!    re-typecheck after each see only the module's live code, not the
-//!    whole prelude in front of it (GHC likewise drops dead bindings
-//!    before each simplifier run);
+//!    check after each see only the module's live code, not the whole
+//!    prelude in front of it (GHC likewise drops dead bindings before
+//!    each simplifier run);
 //! 1. [`specialise_functions`](spec_fun::specialise_functions) — a
 //!    constrained function called with statically known dictionaries is
 //!    cloned per distinct dictionary tuple, the dictionary λ dropped
@@ -26,7 +26,8 @@
 //!    small non-recursive calls β-reduce, case-of-known-constructor and
 //!    friends clean up; a multi-alternative case-of-case binds its
 //!    outer alternatives as **join points** ([`join`]) so continuations
-//!    flow inward without duplication (iterated to a bounded fixpoint).
+//!    flow inward without duplication (iterated to a bounded fixpoint;
+//!    a round in which neither pass changed a binding ends the loop).
 //!    The inliner rewrites only what the entry points reach *after* its
 //!    grafts ([`usage::rewrite_reachable`]), so it drops what it empties
 //!    in the same pass: a chain of definitions collapses into `main`
@@ -72,11 +73,16 @@
 //! `specialised`/`dead_globals` counts land in the [`OptReport`]).
 //!
 //! **The pipeline is representation-preserving by construction and by
-//! check:** after every pass the whole program is re-typechecked (the
-//! pass returns an error — surfaced as a compiler bug — if it broke
-//! typing), and under `debug_assertions` the §5.1 levity checks are
-//! re-run too. `tests/differential.rs` additionally pins optimized and
-//! unoptimized programs to identical outcomes over the corpus and a
+//! check:** after every pass the program is typechecked again (the pass
+//! returns an error — surfaced as a compiler bug — if it broke typing),
+//! and under `debug_assertions` the full Core lint, §5.1 levity checks
+//! included, is re-run too. The check costs what the pass changed, not
+//! the whole program: every pass hands back the same `Arc` for each
+//! binding it did not rewrite, and [`Checker`] re-checks only new
+//! bindings and those that mention a global whose type changed or
+//! vanished (debug builds also check the whole program and assert the
+//! same verdict). `tests/differential.rs` additionally pins optimized
+//! and unoptimized programs to identical outcomes over the corpus and a
 //! property-based sample.
 
 pub mod inline;
@@ -90,10 +96,13 @@ pub mod ww;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use levity_core::symbol::Symbol;
-use levity_ir::terms::Program;
-use levity_ir::typecheck::{check_program, CoreError, TypeEnv};
+use levity_ir::terms::{CoreExpr, DataDecl, Program, TopBind};
+use levity_ir::typecheck::{check_binding, check_program, CoreError, TypeEnv};
+
+use subst::globals_of;
 
 /// How hard the optimizer works.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -153,6 +162,11 @@ pub struct OptReport {
     /// inlined clones and wrappers); the sweep after them drops what
     /// the simplify round after the last inline pass left unreachable.
     pub dead_globals: usize,
+    /// Bindings re-typechecked after the passes, summed over every
+    /// check ([`Checker`]): the first check takes every binding, each
+    /// later one only the bindings a pass rebuilt and those that
+    /// mention a global whose type changed or vanished.
+    pub rechecked: usize,
     /// Core-lint runs performed ([`crate::lint`]): after every pass
     /// under `debug_assertions`, once per optimise in release.
     pub lint_runs: usize,
@@ -195,15 +209,15 @@ const SPEC_ROUNDS: usize = 3;
 ///
 /// An error means a pass produced ill-typed Core — a bug in the
 /// optimizer, never in the input program (which the caller has already
-/// checked). The offending pass is re-validated after every step, so
-/// the error surfaces immediately next to its cause.
+/// checked). Every pass's output is checked before the next pass runs,
+/// so the error surfaces immediately next to its cause.
 pub fn optimise_program(
     prog: &Program,
     entry_points: Option<&HashSet<Symbol>>,
 ) -> Result<(Program, OptReport, TypeEnv), (Symbol, CoreError)> {
     let mut report = OptReport::default();
-    // Prune first: the passes below, and the re-typecheck after each,
-    // then see only what the entries reach, not a whole prelude.
+    // Prune first: the passes below, and the check after each, then see
+    // only what the entries reach, not a whole prelude.
     let mut cur = match entry_points {
         Some(entries) => {
             let (pruned, dropped) = usage::eliminate_dead_globals(prog, entries);
@@ -212,6 +226,7 @@ pub fn optimise_program(
         }
         None => prog.clone(),
     };
+    let mut checker = Checker::new(&cur);
     let mut env_opt: Option<TypeEnv> = None;
 
     let no_force: HashSet<Symbol> = HashSet::new();
@@ -231,12 +246,13 @@ pub fn optimise_program(
         fold_round(&mut report.fn_specialised, clones);
         fold_round(&mut report.spec_calls, calls);
         cur = next;
-        validate(&cur, "spec_fun", &mut report)?;
+        checker.validate(&cur, "spec_fun", &mut report)?;
         let (next, n) = specialise::specialise(&cur);
         fold_round(&mut report.specialised, n);
         cur = next;
-        let env = validate(&cur, "specialise", &mut report)?;
-        let (next, env) = inline_rounds(cur, env, entry_points, &no_force, &mut report)?;
+        let env = checker.validate(&cur, "specialise", &mut report)?;
+        let (next, env) =
+            inline_rounds(cur, env, entry_points, &no_force, &mut checker, &mut report)?;
         cur = next;
         env_opt = Some(env);
     }
@@ -246,15 +262,19 @@ pub fn optimise_program(
     report.workers = n;
     report.cpr_workers = cpr;
     cur = next;
-    let env = validate(&cur, "worker/wrapper", &mut report)?;
-    let (next, mut env) = inline_rounds(cur, env, entry_points, &wrappers, &mut report)?;
+    let env = checker.validate(&cur, "worker/wrapper", &mut report)?;
+    let (next, mut env) =
+        inline_rounds(cur, env, entry_points, &wrappers, &mut checker, &mut report)?;
     cur = next;
 
     if let Some(entries) = entry_points {
+        // The sweep keeps the `Arc` of every binding it keeps, and no
+        // kept binding mentions a dropped one, so its check re-checks
+        // nothing.
         let (next, dropped) = usage::eliminate_dead_globals(&cur, entries);
         report.dead_globals += dropped;
         cur = next;
-        env = validate(&cur, "dead-globals", &mut report)?;
+        env = checker.validate(&cur, "dead-globals", &mut report)?;
     }
     if !cfg!(debug_assertions) {
         // Debug builds linted after every pass inside `validate`;
@@ -264,18 +284,22 @@ pub fn optimise_program(
     Ok((cur, report, env))
 }
 
-/// [`ROUNDS`] rounds of inline + simplify, each pass validated. The
-/// inliner walks from `entry_points` — from every binding when there
-/// are none, so a library keeps all of them — and the bindings it
-/// leaves unreached are dropped on the spot, counted as dead globals.
+/// Up to [`ROUNDS`] rounds of inline + simplify, each pass validated.
+/// The inliner walks from `entry_points` — from every binding when
+/// there are none, so a library keeps all of them — and the bindings it
+/// leaves unreached are dropped on the spot, counted as dead globals. A
+/// round in which neither pass changed a binding ends the loop: the
+/// next round would see the same program and change nothing either.
 fn inline_rounds(
     mut cur: Program,
     mut env: TypeEnv,
     entry_points: Option<&HashSet<Symbol>>,
     force_inline: &HashSet<Symbol>,
+    checker: &mut Checker,
     report: &mut OptReport,
 ) -> Result<(Program, TypeEnv), (Symbol, CoreError)> {
     for _ in 0..ROUNDS {
+        let start = cur.bindings.clone();
         let every_binding: HashSet<Symbol>;
         let entries = match entry_points {
             Some(entries) => entries,
@@ -288,44 +312,178 @@ fn inline_rounds(
         fold_round(&mut report.inlined, n);
         report.dead_globals += cur.bindings.len() - next.bindings.len();
         cur = next;
-        env = validate(&cur, "inline", report)?;
+        env = checker.validate(&cur, "inline", report)?;
         let (next, n, joins) = simplify::simplify(&env, &cur);
         fold_round(&mut report.simplified, n);
         fold_round(&mut report.join_points, joins);
         cur = next;
-        env = validate(&cur, "simplify", report)?;
+        env = checker.validate(&cur, "simplify", report)?;
+        if same_arcs(&start, &cur.bindings) {
+            break;
+        }
     }
     Ok((cur, env))
 }
 
-/// Re-typechecks the program after a pass (always), and — under
-/// `debug_assertions` — runs the full Core lint ([`crate::lint`],
-/// which subsumes the §5.1 levity re-check as its first rule): the
-/// optimizer must be representation- and discipline-preserving, and a
-/// pass that is not should fail here, next to its name, rather than at
-/// lowering or — worse — at runtime. Release builds lint once per
-/// [`optimise_program`] call instead (the last `validate` in the
-/// pipeline would find the same errors a step later). Lint counters
-/// accumulate into `report`.
-fn validate(
-    prog: &Program,
-    pass: &str,
-    report: &mut OptReport,
-) -> Result<TypeEnv, (Symbol, CoreError)> {
-    let env = check_program(prog).map_err(|(name, e)| {
-        // Attach the pass name for the panic message in debug builds;
-        // release callers surface the CoreError through the pipeline.
+/// Do `a` and `b` hold the same `Arc`s, in the same order?
+fn same_arcs<T>(a: &[Arc<T>], b: &[Arc<T>]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+}
+
+/// `bind` with its body replaced by `expr`, the body a pass rebuilt
+/// with `rewrites` rewrites, or `bind` itself when that count is zero:
+/// a pass hands back the same `Arc` for every binding it leaves alone,
+/// and [`Checker`] re-checks only new ones. Debug builds assert that a
+/// body with no rewrite was rebuilt unchanged.
+fn rebuilt(bind: &Arc<TopBind>, rewrites: usize, expr: CoreExpr) -> Arc<TopBind> {
+    if rewrites == 0 {
         debug_assert!(
-            false,
-            "optimizer pass `{pass}` broke typing of `{name}`: {e}"
+            expr == bind.expr,
+            "`{}` changed with no rewrite counted",
+            bind.name
         );
-        (name, e)
-    })?;
-    if cfg!(debug_assertions) {
-        lint_after(prog, pass, &env, report);
+        return Arc::clone(bind);
     }
-    let _ = pass;
-    Ok(env)
+    Arc::new(TopBind {
+        name: bind.name,
+        ty: bind.ty.clone(),
+        expr,
+    })
+}
+
+/// The check after every pass, for one [`optimise_program`] call.
+///
+/// [`check_binding`]'s verdict on a binding depends only on its type
+/// and body, the types of the globals the body mentions, and the
+/// built-ins: constructors travel inside the terms, and no pass changes
+/// the datatype declarations. So a binding whose `Arc` passed the last
+/// check passes again when every global it mentions still has the type
+/// it had then. Every other binding is re-checked: those a pass
+/// rebuilt, and those that mention a global whose type changed or
+/// vanished. The first check has no last one to lean on, so it checks
+/// every binding: the optimizer trusts its input no more than a
+/// whole-program check would.
+struct Checker {
+    /// The datatype declarations of the program the checker started
+    /// from, and an environment registering them, built once.
+    data_decls: Vec<Arc<DataDecl>>,
+    decls: Arc<TypeEnv>,
+    /// The last checked program's bindings by name, each with the
+    /// globals its body mentions. Holding the `Arc`s, not their
+    /// addresses, keeps a freed binding's address from passing for a
+    /// kept one.
+    last: HashMap<Symbol, Checked>,
+}
+
+/// A binding that passed the last check.
+struct Checked {
+    bind: Arc<TopBind>,
+    globals: Vec<Symbol>,
+}
+
+impl Checker {
+    fn new(prog: &Program) -> Checker {
+        let mut decls = TypeEnv::new();
+        for decl in &prog.data_decls {
+            decls.add_data_decl(Arc::clone(decl));
+        }
+        Checker {
+            data_decls: prog.data_decls.clone(),
+            decls: Arc::new(decls),
+            last: HashMap::new(),
+        }
+    }
+
+    /// Typechecks the program a pass returned, and — under
+    /// `debug_assertions` — runs the full Core lint ([`crate::lint`],
+    /// which subsumes the §5.1 levity re-check as its first rule): the
+    /// optimizer must be representation- and discipline-preserving, and
+    /// a pass that is not should fail here, next to its name, rather
+    /// than at lowering or — worse — at runtime. Release builds lint
+    /// once per [`optimise_program`] call instead (the last `validate`
+    /// in the pipeline would find the same errors a step later). The
+    /// bindings re-checked and the lint counters accumulate into
+    /// `report`.
+    fn validate(
+        &mut self,
+        prog: &Program,
+        pass: &str,
+        report: &mut OptReport,
+    ) -> Result<TypeEnv, (Symbol, CoreError)> {
+        let (env, rechecked) = self.check(prog).map_err(|(name, e)| {
+            // Attach the pass name for the panic message in debug builds;
+            // release callers surface the CoreError through the pipeline.
+            debug_assert!(
+                false,
+                "optimizer pass `{pass}` broke typing of `{name}`: {e}"
+            );
+            (name, e)
+        })?;
+        report.rechecked += rechecked;
+        if cfg!(debug_assertions) {
+            lint_after(prog, pass, &env, report);
+        }
+        Ok(env)
+    }
+
+    /// Checks `prog`, re-checking only the bindings the last check does
+    /// not vouch for, in program order. Returns the program's
+    /// environment and the number of bindings re-checked. Debug builds
+    /// also check the whole program from scratch and assert that it
+    /// fails at the same binding, or not at all.
+    fn check(&mut self, prog: &Program) -> Result<(TypeEnv, usize), (Symbol, CoreError)> {
+        debug_assert!(
+            same_arcs(&prog.data_decls, &self.data_decls),
+            "an optimizer pass changed the datatype declarations"
+        );
+        let verdict = self.check_changed(prog);
+        if cfg!(debug_assertions) {
+            let whole = check_program(prog).map(|_| ()).map_err(|(name, _)| name);
+            let incremental = verdict.as_ref().map(|_| ()).map_err(|(name, _)| *name);
+            assert_eq!(
+                incremental, whole,
+                "the incremental check disagrees with the whole-program check"
+            );
+        }
+        verdict
+    }
+
+    fn check_changed(&mut self, prog: &Program) -> Result<(TypeEnv, usize), (Symbol, CoreError)> {
+        let mut env = TypeEnv::over(Arc::clone(&self.decls));
+        for b in &prog.bindings {
+            env.define_global(b.name, b.ty.clone());
+        }
+        // An error leaves `last` empty, so a later check checks all.
+        let mut last = std::mem::take(&mut self.last);
+        let retyped: HashSet<Symbol> = last
+            .iter()
+            .filter(|(name, was)| env.global(**name) != Some(&was.bind.ty))
+            .map(|(name, _)| *name)
+            .collect();
+        let mut checked = HashMap::with_capacity(prog.bindings.len());
+        let mut rechecked = 0;
+        for b in &prog.bindings {
+            let vouched = last.remove(&b.name).filter(|was| {
+                Arc::ptr_eq(&was.bind, b) && !was.globals.iter().any(|g| retyped.contains(g))
+            });
+            let entry = match vouched {
+                Some(was) => was,
+                None => {
+                    check_binding(&env, b)?;
+                    rechecked += 1;
+                    let mut globals = Vec::new();
+                    globals_of(&b.expr, &mut globals);
+                    Checked {
+                        bind: Arc::clone(b),
+                        globals,
+                    }
+                }
+            };
+            checked.insert(b.name, entry);
+        }
+        self.last = checked;
+        Ok((env, rechecked))
+    }
 }
 
 /// Runs the Core lint and folds its counts into the report; debug
@@ -450,6 +608,110 @@ mod tests {
                 && second.fn_specialised <= first.fn_specialised,
             "re-optimising normal-form output inflated the report: first {first:?}, second {second:?}"
         );
+    }
+
+    /// `g :: Int# -> Int# = λx. x` and `f :: Int# = g 1#`.
+    fn caller_and_callee() -> Program {
+        let env = TypeEnv::new();
+        let ih = Type::con0(&env.builtins.int_hash);
+        Program {
+            data_decls: env.builtins.data_decls.clone(),
+            bindings: vec![
+                TopBind {
+                    name: "g".into(),
+                    ty: Type::fun(ih.clone(), ih.clone()),
+                    expr: CoreExpr::lam("x", ih.clone(), CoreExpr::Var("x".into())),
+                }
+                .into(),
+                TopBind {
+                    name: "f".into(),
+                    ty: ih,
+                    expr: CoreExpr::app(CoreExpr::Global("g".into()), CoreExpr::int(1)),
+                }
+                .into(),
+            ],
+        }
+    }
+
+    /// `prog` with its bindings replaced by `bindings`.
+    fn with_bindings(prog: &Program, bindings: Vec<Arc<TopBind>>) -> Program {
+        Program {
+            data_decls: prog.data_decls.clone(),
+            bindings,
+        }
+    }
+
+    /// Negative space: a "pass" re-types `g` — a new binding, well-typed
+    /// alone — while `f` keeps its `Arc` and still applies `g` at the old
+    /// type. A checker that trusted `f`'s unchanged `Arc` would pass the
+    /// program; `f` must be re-checked, and fail.
+    #[test]
+    fn checker_rechecks_a_kept_caller_of_a_retyped_global() {
+        let prog = caller_and_callee();
+        let mut checker = Checker::new(&prog);
+        assert_eq!(
+            checker.check(&prog).unwrap().1,
+            2,
+            "the first check takes all"
+        );
+        let int = Type::con0(&TypeEnv::new().builtins.int);
+        let retyped = TopBind {
+            name: "g".into(),
+            ty: Type::fun(int.clone(), int.clone()),
+            expr: CoreExpr::lam("x", int, CoreExpr::Var("x".into())),
+        };
+        let next = with_bindings(&prog, vec![retyped.into(), Arc::clone(&prog.bindings[1])]);
+        let (name, err) = checker.check(&next).unwrap_err();
+        assert_eq!(name, Symbol::intern("f"));
+        assert!(matches!(err, CoreError::Mismatch { .. }), "{err}");
+    }
+
+    /// Negative space: a "pass" drops `g` while `f` keeps its `Arc` and
+    /// still calls it.
+    #[test]
+    fn checker_rechecks_a_kept_caller_of_a_dropped_global() {
+        let prog = caller_and_callee();
+        let mut checker = Checker::new(&prog);
+        checker.check(&prog).unwrap();
+        let next = with_bindings(&prog, vec![Arc::clone(&prog.bindings[1])]);
+        assert_eq!(
+            checker.check(&next).unwrap_err(),
+            ("f".into(), CoreError::UnboundGlobal("g".into()))
+        );
+    }
+
+    /// A pointer-identical program re-checks nothing — neither a copy of
+    /// the last one nor what a final dead-global sweep that drops nothing
+    /// returns.
+    #[test]
+    fn checker_rechecks_nothing_in_a_pointer_identical_program() {
+        let prog = caller_and_callee();
+        let mut checker = Checker::new(&prog);
+        checker.check(&prog).unwrap();
+        assert_eq!(checker.check(&prog.clone()).unwrap().1, 0);
+        let entries: HashSet<Symbol> = ["f".into()].into();
+        let (swept, dropped) = usage::eliminate_dead_globals(&prog, &entries);
+        assert_eq!(dropped, 0);
+        assert_eq!(checker.check(&swept).unwrap().1, 0);
+    }
+
+    /// A rebuilt binding whose type is unchanged is re-checked alone: its
+    /// callers keep their verdict.
+    #[test]
+    fn checker_rechecks_a_rebuilt_binding_alone() {
+        let prog = caller_and_callee();
+        let mut checker = Checker::new(&prog);
+        checker.check(&prog).unwrap();
+        let g = &prog.bindings[0];
+        let rebuilt = TopBind {
+            name: g.name,
+            ty: g.ty.clone(),
+            expr: g.expr.clone(),
+        };
+        let next = with_bindings(&prog, vec![rebuilt.into(), Arc::clone(&prog.bindings[1])]);
+        let (env, rechecked) = checker.check(&next).unwrap();
+        assert_eq!(rechecked, 1);
+        assert_eq!(env.global("f".into()), Some(&prog.bindings[1].ty));
     }
 
     /// With an entry set, unreachable bindings disappear even when no

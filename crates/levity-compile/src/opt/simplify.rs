@@ -42,7 +42,7 @@ use std::sync::Arc;
 use levity_core::rep::Rep;
 use levity_core::symbol::Symbol;
 use levity_ir::freshen;
-use levity_ir::terms::{CoreAlt, CoreExpr, LetKind, Program, TopBind};
+use levity_ir::terms::{CoreAlt, CoreExpr, LetKind, Program};
 use levity_ir::typecheck::{kind_of, Scope, ScopeEntry, TypeEnv};
 use levity_ir::types::Type;
 use levity_m::syntax::Literal;
@@ -130,8 +130,9 @@ fn pure_total(e: &CoreExpr) -> bool {
 }
 
 /// Runs the simplifier over a whole program (to a bounded fixpoint per
-/// binding). Returns the program, the number of rewrites applied, and
-/// the number of join points bound by the case-of-case rule.
+/// binding). Returns the program, each binding with no rewrite kept as
+/// the same `Arc`, the number of rewrites applied, and the number of
+/// join points bound by the case-of-case rule.
 pub fn simplify(env: &TypeEnv, prog: &Program) -> (Program, usize, usize) {
     let mut global_cons = HashMap::new();
     for b in &prog.bindings {
@@ -157,21 +158,9 @@ pub fn simplify(env: &TypeEnv, prog: &Program) -> (Program, usize, usize) {
         .bindings
         .iter()
         .map(|b| {
-            let mut expr = b.expr.clone();
-            for _ in 0..4 {
-                let mut fuel = REWRITE_FUEL;
-                let mut changed = false;
-                expr = simp(&expr, &cx, &mut Scope::new(), &mut changed, &mut fuel);
-                total += (REWRITE_FUEL - fuel) as usize;
-                if !changed {
-                    break;
-                }
-            }
-            Arc::new(TopBind {
-                name: b.name,
-                ty: b.ty.clone(),
-                expr,
-            })
+            let (expr, rewrites) = simp_rounds(&b.expr, &cx);
+            total += rewrites;
+            super::rebuilt(b, rewrites, expr)
         })
         .collect();
     (
@@ -182,6 +171,27 @@ pub fn simplify(env: &TypeEnv, prog: &Program) -> (Program, usize, usize) {
         total,
         cx.join_points.get(),
     )
+}
+
+/// Simplifies one body: up to four rounds, each with fresh fuel, until
+/// a round rewrites nothing. Returns the body and its rewrite count.
+fn simp_rounds(body: &CoreExpr, cx: &Cx<'_>) -> (CoreExpr, usize) {
+    let mut rewrites = 0usize;
+    let mut round = |e: &CoreExpr| {
+        let mut fuel = REWRITE_FUEL;
+        let mut changed = false;
+        let out = simp(e, cx, &mut Scope::new(), &mut changed, &mut fuel);
+        rewrites += (REWRITE_FUEL - fuel) as usize;
+        (out, changed)
+    };
+    let (mut expr, mut changed) = round(body);
+    for _ in 1..4 {
+        if !changed {
+            break;
+        }
+        (expr, changed) = round(&expr);
+    }
+    (expr, rewrites)
 }
 
 fn simp(

@@ -485,9 +485,9 @@ fn redirect(
 }
 
 /// Runs function specialisation over a whole program. Returns the
-/// rewritten program (clones appended after their originals), the
-/// number of **new** clones created, and the number of call sites
-/// redirected.
+/// rewritten program (clones appended after their originals, and each
+/// binding with no redirect kept as the same `Arc`), the number of
+/// **new** clones created, and the number of call sites redirected.
 ///
 /// `cache` is the persistent key → clone-name map, threaded across the
 /// caller's fixed-point rounds: a later round that exposes another
@@ -564,11 +564,9 @@ pub fn specialise_functions(
     let bindings = bindings
         .iter()
         .map(|b| {
-            Arc::new(TopBind {
-                name: b.name,
-                ty: b.ty.clone(),
-                expr: redirect(&b.expr, &candidates, &dict_globals, cache, &mut redirected),
-            })
+            let before = redirected;
+            let expr = redirect(&b.expr, &candidates, &dict_globals, cache, &mut redirected);
+            super::rebuilt(b, redirected - before, expr)
         })
         .collect();
     (

@@ -102,7 +102,8 @@ fn recognize_dict_caf(bind: &TopBind) -> Option<DictCaf> {
 }
 
 /// Runs dictionary specialisation over a whole program. Returns the
-/// rewritten program and the number of projections specialised.
+/// rewritten program, each binding with no projection kept as the same
+/// `Arc`, and the number of projections specialised.
 pub fn specialise(prog: &Program) -> (Program, usize) {
     let mut selectors: HashMap<Symbol, Selector> = HashMap::new();
     let mut dicts: HashMap<Symbol, DictCaf> = HashMap::new();
@@ -119,11 +120,9 @@ pub fn specialise(prog: &Program) -> (Program, usize) {
         .bindings
         .iter()
         .map(|b| {
-            Arc::new(TopBind {
-                name: b.name,
-                ty: b.ty.clone(),
-                expr: rewrite(&b.expr, &selectors, &dicts, &mut count),
-            })
+            let before = count;
+            let expr = rewrite(&b.expr, &selectors, &dicts, &mut count);
+            super::rebuilt(b, count - before, expr)
         })
         .collect();
     (

@@ -6,8 +6,8 @@
 //! every projection became a direct instance-method call, the inliner
 //! empties every small callee it grafts into all its callers, and the
 //! worker/wrapper split strands wrappers once every call site has
-//! inlined them. Kept, all of them would still be re-typechecked after
-//! every pass, lowered, compiled into the environment engine's
+//! inlined them. Kept, all of them would still be walked by every
+//! pass, lowered, compiled into the environment engine's
 //! [`CodeProgram`], and carried through every run — paying compile
 //! time and code size for bindings no execution can reach.
 //!
@@ -19,8 +19,9 @@
 //! and callers can name their own (see `levity-driver`'s
 //! `compile_*_entries`). A binding outside the reachable set cannot
 //! influence any run from the entries, so dropping it is outcome-exact
-//! by construction; the re-typecheck after the pass certifies no
-//! reachable binding lost a callee. Two passes use the walk:
+//! by construction; the check after the pass certifies no reachable
+//! binding lost a callee (a kept binding that mentions a dropped global
+//! is re-checked, and fails). Two passes use the walk:
 //!
 //! * [`eliminate_dead_globals`] rewrites nothing (each kept binding
 //!   keeps its `Arc`);

@@ -827,18 +827,33 @@ pub fn check_module(
         env.define_global(bind.name, bind.ty.clone());
     }
     for bind in bindings {
-        let mut scope = Scope::new();
-        kind_of(env, &mut scope, &bind.ty).map_err(|e| (bind.name, e))?;
-        let actual = type_of(env, &mut scope, &bind.expr).map_err(|e| (bind.name, e))?;
-        if !actual.alpha_eq(&bind.ty) {
-            return Err((
-                bind.name,
-                CoreError::Mismatch {
-                    expected: bind.ty.clone(),
-                    actual,
-                },
-            ));
-        }
+        check_binding(env, bind)?;
+    }
+    Ok(())
+}
+
+/// Checks one binding against its declared type, in an `env` that
+/// already binds every global the program defines: [`check_module`]'s
+/// step per binding. Its verdict depends only on the binding, the types
+/// of the globals its body mentions and the built-ins, so a caller that
+/// knows which of those changed may re-check only the bindings they
+/// touch.
+///
+/// # Errors
+///
+/// The first [`CoreError`], annotated with the binding's name.
+pub fn check_binding(env: &TypeEnv, bind: &TopBind) -> Result<(), (Symbol, CoreError)> {
+    let mut scope = Scope::new();
+    kind_of(env, &mut scope, &bind.ty).map_err(|e| (bind.name, e))?;
+    let actual = type_of(env, &mut scope, &bind.expr).map_err(|e| (bind.name, e))?;
+    if !actual.alpha_eq(&bind.ty) {
+        return Err((
+            bind.name,
+            CoreError::Mismatch {
+                expected: bind.ty.clone(),
+                actual,
+            },
+        ));
     }
     Ok(())
 }

@@ -129,10 +129,11 @@ fn unreachable_bindings_are_pruned_before_the_optimizer_runs() {
 #[test]
 fn chain_modules_collapse_in_linear_optimizer_work() {
     // A scaling pin on work, not time: doubling a chain module may at
-    // most 2.5× the inliner's and the simplifier's busiest round. The
-    // inliner collapses the chain into `main` once and drops each
-    // emptied definition; grafting every callee into every definition
-    // and keeping them all grows both counts ~3.9× per doubling.
+    // most 2.5× the inliner's and the simplifier's busiest round, and
+    // the bindings the per-pass check re-checks. The inliner collapses
+    // the chain into `main` once and drops each emptied definition;
+    // grafting every callee into every definition and keeping them all
+    // grows the first two counts ~3.9× per doubling.
     //
     // The collapsed chain is one 64-deep body, and the optimizer's
     // recursive walks over it need more than a test thread's 2 MiB
@@ -162,12 +163,26 @@ fn chain_modules_collapse_in_linear_optimizer_work() {
     for (what, small, large) in [
         ("inlined", at32.inlined, at64.inlined),
         ("simplified", at32.simplified, at64.simplified),
+        ("rechecked", at32.rechecked, at64.rechecked),
     ] {
         assert!(
             2 * large <= 5 * small,
             "`{what}` grew {small} -> {large} (more than 2.5x) from 32 to 64 levels"
         );
     }
+}
+
+#[test]
+fn a_constant_module_is_typechecked_once_across_the_optimizer() {
+    // The optimizer checks its input whole, then after each pass
+    // re-checks only the bindings the pass changed. No pass changes
+    // `main = 1#`, so of its ~8 checks only the first checks anything.
+    let compiled = compile_with_prelude("main :: Int#\nmain = 1#\n").unwrap();
+    assert_eq!(
+        compiled.opt_report.rechecked, 1,
+        "{:?}",
+        compiled.opt_report
+    );
 }
 
 #[test]
