@@ -10,14 +10,18 @@
 //!
 //! * `pipeline/parse`, `pipeline/elaborate` (after the seed, sharing
 //!   what it binds),
-//!   `pipeline/check` (the Core check of the module's own bindings),
-//!   `pipeline/levity` (the §5.1 checks of the same bindings);
+//!   `pipeline/check` (the Core check of the module's own bindings,
+//!   which applies the §5.1 levity checks in the same walk);
 //! * `pipeline/optimise` (from `main`, pruning first), `pipeline/lower`,
 //!   `pipeline/code` (the environment engine's `Code`),
 //!   `pipeline/bytecode` and `pipeline/verify`.
 //!
 //! `pipeline/compile_with_prelude` compiles the same six modules through
-//! the driver, end to end.
+//! the driver, end to end. `pipeline/plus_chain_500` and
+//! `pipeline/plus_chain_1000` each compile one module through the
+//! driver, `main = 1# +# 1# +# … +# 1#` with 500 or 1000 terms: a term
+//! nested that deep shows any stage whose cost grows faster than its
+//! input (linear stages take about twice as long for twice the terms).
 
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -44,7 +48,6 @@ struct Stages {
     source: String,
     module: Module,
     elaborated: Elaborated,
-    checked: TypeEnv,
     /// The fresh-name counter the front end left, where the driver's
     /// optimizer starts.
     fresh_mark: u64,
@@ -57,7 +60,7 @@ struct Stages {
 fn run_stages(seed: &PreludeSeed, source: String) -> Stages {
     let entries: HashSet<Symbol> = [Symbol::intern("main")].into();
     let module = seed.parse(&source).unwrap();
-    let (elaborated, checked) = seed.front_end(&source).unwrap();
+    let (elaborated, _) = seed.front_end(&source).unwrap();
     let fresh_mark = levity_ir::fresh_names_mark();
     let (program, _, env) = optimise_program(&elaborated.program, Some(&entries)).unwrap();
     let globals = lower_program(&env, &program).unwrap();
@@ -68,7 +71,6 @@ fn run_stages(seed: &PreludeSeed, source: String) -> Stages {
         source,
         module,
         elaborated,
-        checked,
         fresh_mark,
         optimised: (program, env),
         globals,
@@ -93,9 +95,6 @@ fn bench_pipeline(c: &mut Criterion) {
     row(g, &all, "parse", |s| seed.parse(&s.source));
     row(g, &all, "elaborate", |s| seed.elaborate(&s.module));
     row(g, &all, "check", |s| seed.check(&s.elaborated));
-    row(g, &all, "levity", |s| {
-        seed.check_levity(&s.checked, &s.elaborated)
-    });
     row(g, &all, "optimise", |s| {
         levity_ir::restart_fresh_names_at(s.fresh_mark);
         optimise_program(&s.elaborated.program, Some(&entries))
@@ -109,7 +108,20 @@ fn bench_pipeline(c: &mut Criterion) {
     row(g, &all, "compile_with_prelude", |s| {
         compile_with_prelude(&s.source)
     });
+    for terms in [500, 1000] {
+        let source = plus_chain(terms);
+        compile_with_prelude(&source).unwrap();
+        group.bench_function(&format!("plus_chain_{terms}"), |b| {
+            b.iter(|| compile_with_prelude(&source))
+        });
+    }
     group.finish();
+}
+
+/// `main = 1# +# 1# +# … +# 1#` with `terms` terms: `+#` associates to
+/// the left, so the body is a primop application `terms - 1` deep.
+fn plus_chain(terms: usize) -> String {
+    format!("main :: Int#\nmain = {}\n", vec!["1#"; terms].join(" +# "))
 }
 
 /// One row: `stage` over every module, per iteration.

@@ -4,8 +4,12 @@
 //! the shim's `bench:` line format so the gate records it like any
 //! other group:
 //!
+//! * `serve/first_compile` — the latency of the bench process's first
+//!   request, a program never seen: besides the compile, it pays the
+//!   process's one-time set-up, the prelude seed's build included;
 //! * `serve/cold_compile` — latency of a request whose program has
-//!   never been seen (pays the full elaborate→optimise→lower pipeline);
+//!   never been seen (pays the full elaborate→optimise→lower pipeline),
+//!   timed after the first request, so no sample pays the set-up;
 //! * `serve/cold_compile_full` — the same request once the cache is
 //!   full, as on a long-running server: every compile also evicts, and
 //!   frees, the oldest entry;
@@ -192,9 +196,11 @@ fn bench_serve(_c: &mut Criterion) {
         if smoke { (4, 3, 4, 1) } else { (16, 10, 24, 3) };
 
     let service = EvalService::start(ServeConfig::default());
+    let mut first = measure_cold(&service, 1);
     let mut cold = measure_cold(&service, cold_k);
     let mut hits = measure_hits(&service, hit_bursts);
     service.shutdown();
+    report("serve/first_compile", &mut first);
     let cold_mean = report("serve/cold_compile", &mut cold);
     report("serve/cold_compile_full", &mut measure_cold_full(cold_k));
     // The median burst: one burst the host happens to deschedule moves

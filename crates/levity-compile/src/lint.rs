@@ -8,7 +8,7 @@
 //!
 //! | rule | checks | broken invariant would surface as |
 //! |------|--------|-----------------------------------|
-//! | [`LintRule::Levity`] | the §5.1 levity restrictions, re-run | abstract-representation failure at lowering |
+//! | [`LintRule::Levity`] | the §5.1 levity restrictions, re-applied by a walk of the Core check | abstract-representation failure at lowering |
 //! | [`LintRule::JoinDiscipline`] | `$j` join points called saturated, in tail position only | a join compiled as a closure — allocation the case-of-case pass promised to avoid |
 //! | [`LintRule::CprWorkerTails`] | `$w` workers with `(# … #)` results never tail-return a boxed constructor or a λ | a CPR rebox the wrapper cannot cancel |
 //! | [`LintRule::Shadowing`] | no duplicate binders in one binder list (error), no cross-scope shadowing (warning) | capture bugs in substitution-based passes |
@@ -530,6 +530,7 @@ fn each_child(e: &CoreExpr, mut f: impl FnMut(&CoreExpr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use levity_core::kind::Kind;
     use levity_ir::terms::{LetKind, TopBind};
 
     fn env() -> TypeEnv {
@@ -559,6 +560,34 @@ mod tests {
         let report = lint_program(&env(), &prog);
         assert!(report.is_clean(), "{report}");
         assert!(report.warnings.is_empty(), "{report}");
+    }
+
+    #[test]
+    fn a_levity_polymorphic_binder_is_a_levity_error() {
+        // f = Λr (a :: TYPE r). λ(x :: a). x — well-typed Core whose
+        // binder has no register class (§5.1, restriction 1).
+        let r: Symbol = "r".into();
+        let a = Type::Var("a".into());
+        let ty = Type::forall_rep(
+            r,
+            Type::forall_ty("a", Kind::of_rep_var(r), Type::fun(a.clone(), a.clone())),
+        );
+        let expr = CoreExpr::rep_lam(
+            r,
+            CoreExpr::ty_lam(
+                "a",
+                Kind::of_rep_var(r),
+                CoreExpr::lam("x", a, CoreExpr::Var("x".into())),
+            ),
+        );
+        let report = lint_program(&env(), &program_with("f", ty, expr));
+        assert!(
+            report
+                .errors
+                .iter()
+                .any(|l| l.rule == LintRule::Levity && l.message.contains("binder `x`")),
+            "{report}"
+        );
     }
 
     #[test]

@@ -35,6 +35,7 @@ use levity_core::kind::Kind;
 use levity_core::rep::{Rep, Slot};
 use levity_core::symbol::{NameSupply, Symbol};
 
+use levity_ir::builtin::prim_signature;
 use levity_ir::terms::{CoreAlt, CoreExpr, DataConInfo, LetKind, Program};
 use levity_ir::typecheck::{
     kind_of, resolve_con_tyargs, type_of, CoreError, Scope, ScopeEntry, TypeEnv,
@@ -268,6 +269,10 @@ impl<'a> Lowerer<'a> {
         Ok(type_of(self.env, &mut self.scope, e)?)
     }
 
+    fn types_of(&mut self, es: &[CoreExpr]) -> Result<Vec<Type>, LowerError> {
+        es.iter().map(|e| self.type_of(e)).collect()
+    }
+
     /// Scalar register class of a representation.
     fn scalar_class(&self, rep: &Rep, ty: &Type) -> Result<Slot, LowerError> {
         match rep {
@@ -351,18 +356,25 @@ impl<'a> Lowerer<'a> {
             CoreExpr::Con(con, ty_args, fields) => {
                 let (field_types, _) = con
                     .instantiate(ty_args)
+                    .filter(|(types, _)| types.len() == fields.len())
                     .ok_or(LowerError::Core(CoreError::ConArity(con.name)))?;
                 let mcon = self.machine_con(con, &field_types)?;
-                self.bind_args(fields, |this, atoms| {
-                    let _ = this;
-                    Ok(Arc::new(MExpr::Con(mcon.clone(), atoms)))
+                self.bind_args(fields, &field_types, |_, atoms| {
+                    Ok(Arc::new(MExpr::Con(mcon, atoms)))
                 })
             }
             CoreExpr::Prim(op, args) => {
-                self.bind_args(args, |_, atoms| Ok(Arc::new(MExpr::Prim(*op, atoms))))
+                let (arg_types, _) = prim_signature(*op, &self.env.builtins);
+                if arg_types.len() != args.len() {
+                    return Err(LowerError::Core(CoreError::PrimArity(*op)));
+                }
+                self.bind_args(args, &arg_types, |_, atoms| {
+                    Ok(Arc::new(MExpr::Prim(*op, atoms)))
+                })
             }
             CoreExpr::Tuple(es) => {
-                self.bind_args(es, |_, atoms| Ok(Arc::new(MExpr::MultiVal(atoms))))
+                let types = self.types_of(es)?;
+                self.bind_args(es, &types, |_, atoms| Ok(Arc::new(MExpr::MultiVal(atoms))))
             }
             CoreExpr::Error(_, msg) => Ok(MExpr::error(msg.clone())),
         }
@@ -480,8 +492,11 @@ impl<'a> Lowerer<'a> {
         let jname = *jname;
         args.reverse();
         let args: Vec<CoreExpr> = args.into_iter().cloned().collect();
-        self.bind_args(&args, |_, atoms| Ok(Arc::new(MExpr::Jump(jname, atoms))))
-            .map(Some)
+        let types = self.types_of(&args)?;
+        self.bind_args(&args, &types, |_, atoms| {
+            Ok(Arc::new(MExpr::Jump(jname, atoms)))
+        })
+        .map(Some)
     }
 
     /// Lowers a validated join-point `let`: the continuation's
@@ -790,27 +805,28 @@ impl<'a> Lowerer<'a> {
     }
 
     /// A-normalizes a list of scalar expressions (constructor fields,
-    /// primop arguments, tuple components), then calls the continuation
-    /// with their atoms.
+    /// primop arguments, tuple components, jump arguments), one type
+    /// each from the caller, then calls the continuation with their atoms.
     fn bind_args(
         &mut self,
         es: &[CoreExpr],
+        types: &[Type],
         k: impl FnOnce(&mut Self, Vec<Atom>) -> Result<Arc<MExpr>, LowerError>,
     ) -> Result<Arc<MExpr>, LowerError> {
-        self.bind_args_go(es, Vec::with_capacity(es.len()), k)
+        debug_assert_eq!(es.len(), types.len());
+        self.bind_args_go(es, types, Vec::with_capacity(es.len()), k)
     }
 
     fn bind_args_go(
         &mut self,
         es: &[CoreExpr],
+        types: &[Type],
         mut acc: Vec<Atom>,
         k: impl FnOnce(&mut Self, Vec<Atom>) -> Result<Arc<MExpr>, LowerError>,
     ) -> Result<Arc<MExpr>, LowerError> {
-        match es.split_first() {
-            None => k(self, acc),
-            Some((e, rest)) => {
-                let ty = self.type_of(e)?;
-                let rep = self.rep_of(&ty)?;
+        match (es.split_first(), types.split_first()) {
+            (Some((e, rest)), Some((ty, rest_types))) => {
+                let rep = self.rep_of(ty)?;
                 match rep {
                     Rep::Tuple(_) => {
                         // Flatten tuple components into the atom list.
@@ -821,21 +837,22 @@ impl<'a> Lowerer<'a> {
                             .collect();
                         let scrut = self.lower(e)?;
                         acc.extend(binders.iter().map(|b| Atom::Var(b.name)));
-                        let body = self.bind_args_go(rest, acc, k)?;
+                        let body = self.bind_args_go(rest, rest_types, acc, k)?;
                         Ok(Arc::new(MExpr::CaseMulti(scrut, binders, body)))
                     }
                     Rep::Sum(_) => Err(LowerError::Unsupported(format!(
                         "unboxed sum argument `{ty}`"
                     ))),
                     scalar => {
-                        let class = self.scalar_class(&scalar, &ty)?;
+                        let class = self.scalar_class(&scalar, ty)?;
                         self.bind_scalar(e, class, move |this, atom| {
                             acc.push(atom);
-                            this.bind_args_go(rest, acc, k)
+                            this.bind_args_go(rest, rest_types, acc, k)
                         })
                     }
                 }
             }
+            _ => k(self, acc),
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! §6.2's thesis is that kinding types by representation lets the
 //! compiler *act* on representation information. The pipeline's acting
-//! layer is this module: a short sequence of passes run between
-//! [`check_program_levity`](levity_ir::levity::check_program_levity) and
-//! [`lower_program`](crate::lower::lower_program), each justified by
+//! layer is this module: a short sequence of passes run between the
+//! Core and §5.1 checks ([`check_module`](levity_ir::typecheck::check_module))
+//! and [`lower_program`](crate::lower::lower_program), each justified by
 //! facts the kinds already state:
 //!
 //! 0. [`eliminate_dead_globals`](usage::eliminate_dead_globals), when
@@ -75,8 +75,9 @@
 //! **The pipeline is representation-preserving by construction and by
 //! check:** after every pass the program is typechecked again (the pass
 //! returns an error — surfaced as a compiler bug — if it broke typing),
-//! and under `debug_assertions` the full Core lint, §5.1 levity checks
-//! included, is re-run too. The check costs what the pass changed, not
+//! and the full Core lint, §5.1 levity checks included (a walk of the
+//! Core check with a sink), runs after every pass in debug builds and
+//! once at the end in release. The check costs what the pass changed, not
 //! the whole program: every pass hands back the same `Arc` for each
 //! binding it did not rewrite, and [`Checker`] re-checks only new
 //! bindings and those that mention a global whose type changed or
@@ -469,7 +470,7 @@ impl Checker {
             let entry = match vouched {
                 Some(was) => was,
                 None => {
-                    check_binding(&env, b)?;
+                    check_binding(&env, b, None)?;
                     rechecked += 1;
                     let mut globals = Vec::new();
                     globals_of(&b.expr, &mut globals);

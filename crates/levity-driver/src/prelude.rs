@@ -13,10 +13,11 @@
 //! compilation parses, elaborates and checks only its own module, in
 //! the scope of everything the prelude binds. The module may not
 //! redeclare a prelude name, whatever its kind (`E-duplicate`), and its
-//! diagnostics' spans are offsets into its own source. The §5.1 levity
-//! checks and the Core check judge one binding at a time against the
-//! global environment, so checking the module's own bindings against
-//! the prelude's environment gives the whole program's verdict.
+//! diagnostics' spans are offsets into its own source. The Core check,
+//! and the §5.1 levity checks in the same walk, judge one binding at a
+//! time against the global environment, so checking the module's own
+//! bindings against the prelude's environment gives the whole program's
+//! verdict.
 //!
 //! The seed is shared, not copied. A compilation's elaborated program
 //! holds the prelude's bindings by `Arc`, followed by the module's own;
@@ -30,13 +31,12 @@
 use std::sync::{Arc, OnceLock};
 
 use levity_infer::elaborate::{Elaborated, ModuleSeed};
-use levity_ir::levity::{check_module_levity, check_program_levity};
 use levity_ir::terms::{DataDecl, Program, TopBind};
-use levity_ir::typecheck::{check_module, check_program, TypeEnv};
+use levity_ir::typecheck::TypeEnv;
 use levity_surface::ast::Module;
 use levity_surface::parser::parse_module;
 
-use crate::pipeline::PipelineError;
+use crate::pipeline::{check_core, PipelineError};
 
 /// The prelude's front end, done once per process.
 ///
@@ -69,12 +69,9 @@ impl PreludeSeed {
         levity_ir::restart_fresh_names();
         let module = parse_module(PRELUDE).map_err(PipelineError::Parse)?;
         let elab = ModuleSeed::new(&module).map_err(PipelineError::Elaborate)?;
-        let env =
-            check_program(elab.program()).map_err(|(name, e)| PipelineError::CoreLint(name, e))?;
-        let levity = check_program_levity(&env, elab.program());
-        if levity.has_errors() {
-            return Err(PipelineError::Levity(levity));
-        }
+        let mut env = TypeEnv::new();
+        let program = elab.program();
+        check_core(&mut env, &program.data_decls, &program.bindings)?;
         Ok(PreludeSeed {
             elab,
             env: Arc::new(env),
@@ -91,7 +88,6 @@ impl PreludeSeed {
         let module = self.parse(source)?;
         let elaborated = self.elaborate(&module)?;
         let env = self.check(&elaborated)?;
-        self.check_levity(&env, &elaborated)?;
         Ok((elaborated, env))
     }
 
@@ -110,29 +106,16 @@ impl PreludeSeed {
     }
 
     /// The Core check of what the module adds to the prelude, its
-    /// datatypes and bindings, against the prelude's environment; the
-    /// environment over both, which shares the prelude's. `elaborated`
-    /// is [`Self::elaborate`]'s.
+    /// datatypes and bindings, against the prelude's environment, with
+    /// the §5.1 levity checks in the same walk: a type error first,
+    /// otherwise every levity violation. Returns the environment over
+    /// both, which shares the prelude's. `elaborated` is
+    /// [`Self::elaborate`]'s.
     pub fn check(&self, elaborated: &Elaborated) -> Result<TypeEnv, PipelineError> {
         let (data_decls, bindings) = self.own(&elaborated.program);
         let mut env = TypeEnv::over(Arc::clone(&self.env));
-        check_module(&mut env, data_decls, bindings)
-            .map_err(|(name, e)| PipelineError::CoreLint(name, e))?;
+        check_core(&mut env, data_decls, bindings)?;
         Ok(env)
-    }
-
-    /// The §5.1 levity checks of the module's bindings, with `env` the
-    /// environment [`Self::check`] returned.
-    pub fn check_levity(
-        &self,
-        env: &TypeEnv,
-        elaborated: &Elaborated,
-    ) -> Result<(), PipelineError> {
-        let diags = check_module_levity(env, self.own(&elaborated.program).1);
-        if diags.has_errors() {
-            return Err(PipelineError::Levity(diags));
-        }
-        Ok(())
     }
 
     /// The module's own datatypes and bindings: what follows the

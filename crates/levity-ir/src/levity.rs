@@ -2,197 +2,77 @@
 //!
 //! GHC "can only check for bad levity polymorphism after type checking is
 //! complete … we thus do the levity polymorphism checks in the desugarer"
-//! (§8.2). This module is that pass. It enforces:
+//! (§8.2). This module holds the two rules and their diagnostics:
 //!
 //! 1. **No levity-polymorphic binders** — every λ-, `let`- and
 //!    case-pattern binder must have a type whose kind is fixed and free
 //!    of representation variables.
 //! 2. **No levity-polymorphic function arguments** — every application
 //!    argument's type must likewise have a concrete kind, because
-//!    arguments are passed in registers of a known class.
+//!    arguments are passed in registers of a known class; so must every
+//!    scrutinee, constructor field, primop argument and tuple component.
 //!
 //! Types that merely *mention* levity polymorphism (like `error`'s result
 //! or `($)`'s return type) are fine; only *moving or storing* a value at
 //! an abstract representation is rejected (§5.1's fundamental
-//! requirement (*)).
-
-use std::sync::Arc;
+//! requirement (*)). The rules run in the Core check's walk, which has
+//! each binder's kind and each moved value's type in hand
+//! ([`check_binding`] handed a sink), and report apart from type errors.
 
 use levity_core::diag::{Diagnostic, Diagnostics, ErrorCode, Span};
 use levity_core::kind::Kind;
 use levity_core::symbol::Symbol;
 
-use crate::terms::{CoreAlt, CoreExpr, Program, TopBind};
-use crate::typecheck::{kind_of, type_of, Scope, ScopeEntry, TypeEnv};
+use crate::terms::Program;
+use crate::typecheck::{check_binding, TypeEnv};
 use crate::types::Type;
 
-/// Checks one binder type; returns a diagnostic when its kind mentions a
-/// representation variable.
-fn check_binder(env: &TypeEnv, scope: &mut Scope, who: Symbol, ty: &Type, diags: &mut Diagnostics) {
-    match kind_of(env, scope, ty) {
-        Ok(kind) => {
-            if kind.is_levity_polymorphic() {
-                diags.push(levity_binder_error(who, ty, &kind));
-            }
-        }
-        Err(_) => {
-            // Type errors are the type checker's to report.
-        }
+/// Restriction 1, at the binder `who` of type `ty` and kind `kind`.
+pub(crate) fn check_binder(diags: &mut Diagnostics, who: Symbol, ty: &Type, kind: &Kind) {
+    if kind.is_levity_polymorphic() {
+        diags.push(
+            Diagnostic::error(
+                ErrorCode::LevityPolymorphicBinder,
+                format!(
+                    "the binder `{who}` has a levity-polymorphic type `{ty}` (of kind `{kind}`)"
+                ),
+                Span::SYNTHETIC,
+            )
+            .with_note(
+                "a bound variable must have a fixed runtime representation (section 5.1, restriction 1)",
+            ),
+        );
     }
 }
 
-fn levity_binder_error(who: Symbol, ty: &Type, kind: &Kind) -> Diagnostic {
-    Diagnostic::error(
-        ErrorCode::LevityPolymorphicBinder,
-        format!("the binder `{who}` has a levity-polymorphic type `{ty}` (of kind `{kind}`)"),
-        Span::SYNTHETIC,
-    )
-    .with_note(
-        "a bound variable must have a fixed runtime representation (section 5.1, restriction 1)",
-    )
-}
-
-fn levity_argument_error(ty: &Type, kind: &Kind) -> Diagnostic {
-    Diagnostic::error(
-        ErrorCode::LevityPolymorphicArgument,
-        format!("a function argument has levity-polymorphic type `{ty}` (of kind `{kind}`)"),
-        Span::SYNTHETIC,
-    )
-    .with_note(
-        "arguments are passed in registers, whose class must be known (section 5.1, restriction 2)",
-    )
-}
-
-/// Walks an expression, reporting every §5.1 violation.
-pub fn check_expr(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr, diags: &mut Diagnostics) {
-    match e {
-        CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => {}
-        CoreExpr::App(f, a) => {
-            check_expr(env, scope, f, diags);
-            check_expr(env, scope, a, diags);
-            // Restriction 2: the argument's representation must be known.
-            if let Ok(arg_ty) = type_of(env, scope, a) {
-                if let Ok(kind) = kind_of(env, scope, &arg_ty) {
-                    if kind.is_levity_polymorphic() {
-                        diags.push(levity_argument_error(&arg_ty, &kind));
-                    }
-                }
-            }
-        }
-        CoreExpr::TyApp(f, _) | CoreExpr::RepApp(f, _) => check_expr(env, scope, f, diags),
-        CoreExpr::Lam(x, ty, body) => {
-            // Restriction 1 at λ.
-            check_binder(env, scope, *x, ty, diags);
-            scope.push(*x, ScopeEntry::Term(ty.clone()));
-            check_expr(env, scope, body, diags);
-            scope.pop();
-        }
-        CoreExpr::TyLam(a, k, body) => {
-            scope.push(*a, ScopeEntry::TyVar(k.clone()));
-            check_expr(env, scope, body, diags);
-            scope.pop();
-        }
-        CoreExpr::RepLam(r, body) => {
-            scope.push(*r, ScopeEntry::RepVar);
-            check_expr(env, scope, body, diags);
-            scope.pop();
-        }
-        CoreExpr::Let(_, x, ty, rhs, body) => {
-            // Restriction 1 at let.
-            check_binder(env, scope, *x, ty, diags);
-            scope.push(*x, ScopeEntry::Term(ty.clone()));
-            check_expr(env, scope, rhs, diags);
-            check_expr(env, scope, body, diags);
-            scope.pop();
-        }
-        CoreExpr::Case(scrut, alts) => {
-            check_expr(env, scope, scrut, diags);
-            // The scrutinee itself is evaluated into a register: its
-            // representation must be known too.
-            if let Ok(scrut_ty) = type_of(env, scope, scrut) {
-                if let Ok(kind) = kind_of(env, scope, &scrut_ty) {
-                    if kind.is_levity_polymorphic() {
-                        diags.push(levity_argument_error(&scrut_ty, &kind));
-                    }
-                }
-            }
-            for alt in alts {
-                match alt {
-                    CoreAlt::Con { binders, rhs, .. } | CoreAlt::Tuple { binders, rhs } => {
-                        for (x, t) in binders {
-                            // Restriction 1 at case patterns.
-                            check_binder(env, scope, *x, t, diags);
-                            scope.push(*x, ScopeEntry::Term(t.clone()));
-                        }
-                        check_expr(env, scope, rhs, diags);
-                        for _ in binders {
-                            scope.pop();
-                        }
-                    }
-                    CoreAlt::Lit { rhs, .. } => check_expr(env, scope, rhs, diags),
-                    CoreAlt::Default { binder, rhs } => {
-                        if let Some((x, t)) = binder {
-                            // Restriction 1 at the default binder too.
-                            check_binder(env, scope, *x, t, diags);
-                            scope.push(*x, ScopeEntry::Term(t.clone()));
-                            check_expr(env, scope, rhs, diags);
-                            scope.pop();
-                        } else {
-                            check_expr(env, scope, rhs, diags);
-                        }
-                    }
-                }
-            }
-        }
-        CoreExpr::Con(_, _, fields) => {
-            for field in fields {
-                check_expr(env, scope, field, diags);
-                // Constructor fields are stored in the heap: restriction
-                // on storing applies just as to arguments.
-                if let Ok(ty) = type_of(env, scope, field) {
-                    if let Ok(kind) = kind_of(env, scope, &ty) {
-                        if kind.is_levity_polymorphic() {
-                            diags.push(levity_argument_error(&ty, &kind));
-                        }
-                    }
-                }
-            }
-        }
-        CoreExpr::Prim(_, args) | CoreExpr::Tuple(args) => {
-            for a in args {
-                check_expr(env, scope, a, diags);
-                if let Ok(ty) = type_of(env, scope, a) {
-                    if let Ok(kind) = kind_of(env, scope, &ty) {
-                        if kind.is_levity_polymorphic() {
-                            diags.push(levity_argument_error(&ty, &kind));
-                        }
-                    }
-                }
-            }
-        }
+/// Restriction 2, at a value of type `ty` and kind `kind` moved into a
+/// register or the heap.
+pub(crate) fn check_moved(diags: &mut Diagnostics, ty: &Type, kind: &Kind) {
+    if kind.is_levity_polymorphic() {
+        diags.push(
+            Diagnostic::error(
+                ErrorCode::LevityPolymorphicArgument,
+                format!(
+                    "a function argument has levity-polymorphic type `{ty}` (of kind `{kind}`)"
+                ),
+                Span::SYNTHETIC,
+            )
+            .with_note(
+                "arguments are passed in registers, whose class must be known (section 5.1, restriction 2)",
+            ),
+        );
     }
 }
 
-/// Checks one top-level binding.
-pub fn check_binding(env: &TypeEnv, bind: &TopBind, diags: &mut Diagnostics) {
-    let mut scope = Scope::new();
-    check_expr(env, &mut scope, &bind.expr, diags);
-}
-
-/// Checks a whole (already type-checked) program; returns all levity
-/// diagnostics.
+/// Checks a whole (already type-checked) program against `env`, its
+/// Core check's environment; returns all levity diagnostics, in program
+/// order. Each binding is walked once, by the Core check handed a sink
+/// ([`check_binding`]).
 pub fn check_program_levity(env: &TypeEnv, prog: &Program) -> Diagnostics {
-    check_module_levity(env, &prog.bindings)
-}
-
-/// Checks one module's (already type-checked) bindings against `env`,
-/// which covers them and everything they refer to; returns all levity
-/// diagnostics. Each binding is judged on its own, so checking a
-/// program module by module gives [`check_program_levity`]'s verdict.
-pub fn check_module_levity(env: &TypeEnv, bindings: &[Arc<TopBind>]) -> Diagnostics {
     let mut diags = Diagnostics::new();
-    for bind in bindings {
-        check_binding(env, bind, &mut diags);
+    for bind in &prog.bindings {
+        // Type errors are the type checker's to report.
+        let _ = check_binding(env, bind, Some(&mut diags));
     }
     diags
 }
@@ -200,7 +80,13 @@ pub fn check_module_levity(env: &TypeEnv, bindings: &[Arc<TopBind>]) -> Diagnost
 #[cfg(test)]
 mod tests {
     use super::*;
-    use levity_core::kind::Kind;
+    use crate::terms::CoreExpr;
+    use crate::typecheck::{synth, Scope};
+
+    /// The §5.1 violations in `e`: the Core check's walk handed a sink.
+    fn check_expr(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr, diags: &mut Diagnostics) {
+        let _ = synth(env, scope, e, &mut Some(diags));
+    }
 
     fn env() -> TypeEnv {
         TypeEnv::new()

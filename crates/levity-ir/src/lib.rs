@@ -13,7 +13,9 @@
 //! * [`typecheck`] — kinding and type checking ("lint"); levity-
 //!   polymorphic *types* are allowed everywhere here;
 //! * [`levity`] — the §5.1 restrictions (no levity-polymorphic binders or
-//!   arguments), run as a separate later pass, "in the desugarer".
+//!   arguments), applied after inference, "in the desugarer", and
+//!   reported apart from type errors, but in the same walk
+//!   ([`typecheck::check_binding`] handed a sink).
 //!
 //! # Example
 //!

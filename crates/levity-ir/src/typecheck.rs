@@ -1,22 +1,26 @@
 //! Kinding and type checking for Core ("lint", in GHC terms).
 //!
-//! Core is explicitly typed, so checking is syntax-directed. Notably —
-//! and unlike the formal `L` — the checker here does *not* enforce the
-//! §5.1 levity restrictions: GHC performs those after type checking, in
-//! the desugarer (§8.2), and so do we (see [`crate::levity`]). This split
-//! lets the pipeline demonstrate the paper's point that the checks are
-//! separable.
+//! Core is explicitly typed, so checking is syntax-directed. Unlike the
+//! formal `L`, the type rules allow levity-polymorphic binders and
+//! arguments: the §5.1 restrictions ([`crate::levity`]) run after type
+//! inference, as GHC's desugarer runs them (§8.2), and report apart from
+//! type errors. Handed a diagnostics sink, the walk that types a binding
+//! applies them too ([`check_binding`]), as GHC's Core Lint checks
+//! representation-polymorphic binders and arguments in the walk that
+//! types them.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use levity_core::diag::Diagnostics;
 use levity_core::kind::Kind;
 use levity_core::rep::{normalize_tuple, RepTy};
 use levity_core::symbol::Symbol;
 use levity_m::syntax::{Literal, PrimOp};
 
 use crate::builtin::{builtins, prim_signature, Builtins};
+use crate::levity;
 use crate::terms::{
     CoreAlt, CoreExpr, DataConInfo, DataDecl, LetKind, Program, TopBind, TyArg, TyParam,
 };
@@ -521,13 +525,27 @@ pub fn resolve_con_tyargs(
 /// Returns the first [`CoreError`] found; spans are not tracked at the
 /// Core level (the surface pipeline reports errors before Core).
 pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, CoreError> {
+    synth(env, scope, e, &mut None)
+}
+
+/// [`type_of`]'s walk. Handed a sink, it also pushes each §5.1 violation
+/// as it meets it: restriction 1 at every λ, `let` and case binder,
+/// restriction 2 at every application argument, scrutinee, constructor
+/// field, primop argument and tuple component.
+pub(crate) fn synth(
+    env: &TypeEnv,
+    scope: &mut Scope,
+    e: &CoreExpr,
+    sink: &mut Option<&mut Diagnostics>,
+) -> Result<Type, CoreError> {
     match e {
         CoreExpr::Var(x) => scope.term(*x).cloned().ok_or(CoreError::UnboundVar(*x)),
         CoreExpr::Global(g) => env.global(*g).cloned().ok_or(CoreError::UnboundGlobal(*g)),
         CoreExpr::Lit(l) => Ok(literal_type(env, *l)),
         CoreExpr::App(f, a) => {
-            let fun_ty = type_of(env, scope, f)?;
-            let arg_ty = type_of(env, scope, a)?;
+            let fun_ty = synth(env, scope, f, sink)?;
+            let arg_ty = synth(env, scope, a, sink)?;
+            moved(env, scope, &arg_ty, sink);
             match fun_ty {
                 Type::Fun(dom, cod) => {
                     if !dom.alpha_eq(&arg_ty) {
@@ -542,7 +560,7 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
             }
         }
         CoreExpr::TyApp(f, arg) => {
-            let fun_ty = type_of(env, scope, f)?;
+            let fun_ty = synth(env, scope, f, sink)?;
             match fun_ty {
                 Type::ForallTy(v, k, body) => {
                     let arg_kind = kind_of(env, scope, arg)?;
@@ -558,7 +576,7 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
             }
         }
         CoreExpr::RepApp(f, rep) => {
-            let fun_ty = type_of(env, scope, f)?;
+            let fun_ty = synth(env, scope, f, sink)?;
             check_rep_scoped(scope, rep)?;
             match fun_ty {
                 Type::ForallRep(r, body) => Ok(body.subst_rep(r, rep)),
@@ -570,21 +588,24 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
             if !k.classifies_values() {
                 return Err(CoreError::NotAValueKind(ty.clone(), k));
             }
+            if let Some(diags) = sink {
+                levity::check_binder(diags, *x, ty, &k);
+            }
             scope.push(*x, ScopeEntry::Term(ty.clone()));
-            let body_ty = type_of(env, scope, body);
+            let body_ty = synth(env, scope, body, sink);
             scope.pop();
             Ok(Type::fun(ty.clone(), body_ty?))
         }
         CoreExpr::TyLam(a, k, body) => {
             check_kind_scoped(scope, k)?;
             scope.push(*a, ScopeEntry::TyVar(k.clone()));
-            let body_ty = type_of(env, scope, body);
+            let body_ty = synth(env, scope, body, sink);
             scope.pop();
             Ok(Type::forall_ty(*a, k.clone(), body_ty?))
         }
         CoreExpr::RepLam(r, body) => {
             scope.push(*r, ScopeEntry::RepVar);
-            let body_ty = type_of(env, scope, body);
+            let body_ty = synth(env, scope, body, sink);
             scope.pop();
             let result = Type::forall_rep(*r, body_ty?);
             // Validate the result kind (rep-escape check).
@@ -596,6 +617,9 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
             if !declared_kind.classifies_values() {
                 return Err(CoreError::NotAValueKind(ty.clone(), declared_kind.clone()));
             }
+            if let Some(diags) = sink {
+                levity::check_binder(diags, *x, ty, &declared_kind);
+            }
             if *kind == LetKind::Rec {
                 // A recursive binding becomes a cyclic heap thunk; it must
                 // be boxed and lifted.
@@ -603,7 +627,7 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                     return Err(CoreError::RecBinderNotLifted(*x, ty.clone()));
                 }
                 scope.push(*x, ScopeEntry::Term(ty.clone()));
-                let rhs_ty = type_of(env, scope, rhs);
+                let rhs_ty = synth(env, scope, rhs, sink);
                 scope.pop();
                 let rhs_ty = rhs_ty?;
                 if !rhs_ty.alpha_eq(ty) {
@@ -613,7 +637,7 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                     });
                 }
             } else {
-                let rhs_ty = type_of(env, scope, rhs)?;
+                let rhs_ty = synth(env, scope, rhs, sink)?;
                 if !rhs_ty.alpha_eq(ty) {
                     return Err(CoreError::Mismatch {
                         expected: ty.clone(),
@@ -622,12 +646,13 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                 }
             }
             scope.push(*x, ScopeEntry::Term(ty.clone()));
-            let body_ty = type_of(env, scope, body);
+            let body_ty = synth(env, scope, body, sink);
             scope.pop();
             body_ty
         }
         CoreExpr::Case(scrut, alts) => {
-            let scrut_ty = type_of(env, scope, scrut)?;
+            let scrut_ty = synth(env, scope, scrut, sink)?;
+            moved(env, scope, &scrut_ty, sink);
             if alts.is_empty() {
                 return Err(CoreError::EmptyCase);
             }
@@ -656,9 +681,10 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                             }
                         }
                         for (x, t) in binders {
+                            case_bound(env, scope, *x, t, sink);
                             scope.push(*x, ScopeEntry::Term(t.clone()));
                         }
-                        let out = type_of(env, scope, rhs);
+                        let out = synth(env, scope, rhs, sink);
                         for _ in binders {
                             scope.pop();
                         }
@@ -671,7 +697,7 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                                 "literal {lit} does not match scrutinee type `{scrut_ty}`"
                             )));
                         }
-                        type_of(env, scope, rhs)?
+                        synth(env, scope, rhs, sink)?
                     }
                     CoreAlt::Tuple { binders, rhs } => {
                         let Type::UnboxedTuple(ts) = &scrut_ty else {
@@ -692,9 +718,10 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                             }
                         }
                         for (x, t) in binders {
+                            case_bound(env, scope, *x, t, sink);
                             scope.push(*x, ScopeEntry::Term(t.clone()));
                         }
-                        let out = type_of(env, scope, rhs);
+                        let out = synth(env, scope, rhs, sink);
                         for _ in binders {
                             scope.pop();
                         }
@@ -707,12 +734,13 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                                     "default binder {x} declared `{t}`, scrutinee is `{scrut_ty}`"
                                 )));
                             }
+                            case_bound(env, scope, *x, t, sink);
                             scope.push(*x, ScopeEntry::Term(t.clone()));
-                            let out = type_of(env, scope, rhs);
+                            let out = synth(env, scope, rhs, sink);
                             scope.pop();
                             out?
                         }
-                        None => type_of(env, scope, rhs)?,
+                        None => synth(env, scope, rhs, sink)?,
                     },
                 };
                 match &result {
@@ -744,7 +772,8 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                 return Err(CoreError::ConArity(con.name));
             }
             for (expected, field) in field_tys.iter().zip(fields) {
-                let actual = type_of(env, scope, field)?;
+                let actual = synth(env, scope, field, sink)?;
+                moved(env, scope, &actual, sink);
                 if !expected.alpha_eq(&actual) {
                     return Err(CoreError::Mismatch {
                         expected: expected.clone(),
@@ -760,7 +789,8 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
                 return Err(CoreError::PrimArity(*op));
             }
             for (exp, arg) in expected.iter().zip(args) {
-                let actual = type_of(env, scope, arg)?;
+                let actual = synth(env, scope, arg, sink)?;
+                moved(env, scope, &actual, sink);
                 if !exp.alpha_eq(&actual) {
                     return Err(CoreError::Mismatch {
                         expected: exp.clone(),
@@ -773,10 +803,13 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
         CoreExpr::Tuple(es) => {
             let mut tys = Vec::with_capacity(es.len());
             for e in es {
-                let t = type_of(env, scope, e)?;
+                let t = synth(env, scope, e, sink)?;
                 let k = kind_of(env, scope, &t)?;
                 if !k.classifies_values() {
                     return Err(CoreError::NotAValueKind(t, k));
+                }
+                if let Some(diags) = sink {
+                    levity::check_moved(diags, &t, &k);
                 }
                 tys.push(t);
             }
@@ -792,6 +825,32 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
     }
 }
 
+/// Restriction 1 at a case binder. The type rules never kind it, so a
+/// kind error here is left unreported: it is no type error.
+fn case_bound(
+    env: &TypeEnv,
+    scope: &mut Scope,
+    x: Symbol,
+    ty: &Type,
+    sink: &mut Option<&mut Diagnostics>,
+) {
+    if let Some(diags) = sink {
+        if let Ok(kind) = kind_of(env, scope, ty) {
+            levity::check_binder(diags, x, ty, &kind);
+        }
+    }
+}
+
+/// Restriction 2 at a value of type `ty` moved into a register or the
+/// heap. A kind error is left unreported, as at case binders.
+fn moved(env: &TypeEnv, scope: &mut Scope, ty: &Type, sink: &mut Option<&mut Diagnostics>) {
+    if let Some(diags) = sink {
+        if let Ok(kind) = kind_of(env, scope, ty) {
+            levity::check_moved(diags, ty, &kind);
+        }
+    }
+}
+
 /// Checks a whole program: registers its datatypes and global types,
 /// then checks every binding against its declared type.
 ///
@@ -800,7 +859,7 @@ pub fn type_of(env: &TypeEnv, scope: &mut Scope, e: &CoreExpr) -> Result<Type, C
 /// The first [`CoreError`], annotated with the binding's name.
 pub fn check_program(prog: &Program) -> Result<TypeEnv, (Symbol, CoreError)> {
     let mut env = TypeEnv::new();
-    check_module(&mut env, &prog.data_decls, &prog.bindings)?;
+    check_module(&mut env, &prog.data_decls, &prog.bindings, None)?;
     Ok(env)
 }
 
@@ -811,13 +870,18 @@ pub fn check_program(prog: &Program) -> Result<TypeEnv, (Symbol, CoreError)> {
 /// referring only to itself and the modules before it, gives the same
 /// verdict and the same final environment.
 ///
+/// A `levity` sink gets every binding's §5.1 violations, in program
+/// order ([`check_binding`]).
+///
 /// # Errors
 ///
-/// The first [`CoreError`], annotated with the binding's name.
+/// The first [`CoreError`], annotated with the binding's name; it takes
+/// precedence over what the sink holds.
 pub fn check_module(
     env: &mut TypeEnv,
     data_decls: &[Arc<DataDecl>],
     bindings: &[Arc<TopBind>],
+    mut levity: Option<&mut Diagnostics>,
 ) -> Result<(), (Symbol, CoreError)> {
     for decl in data_decls {
         env.add_data_decl(Arc::clone(decl));
@@ -827,7 +891,7 @@ pub fn check_module(
         env.define_global(bind.name, bind.ty.clone());
     }
     for bind in bindings {
-        check_binding(env, bind)?;
+        check_binding(env, bind, levity.as_deref_mut())?;
     }
     Ok(())
 }
@@ -839,13 +903,20 @@ pub fn check_module(
 /// knows which of those changed may re-check only the bindings they
 /// touch.
 ///
+/// A `levity` sink gets every §5.1 violation ([`crate::levity`]) the
+/// walk meets, in order; the verdict does not change.
+///
 /// # Errors
 ///
 /// The first [`CoreError`], annotated with the binding's name.
-pub fn check_binding(env: &TypeEnv, bind: &TopBind) -> Result<(), (Symbol, CoreError)> {
+pub fn check_binding(
+    env: &TypeEnv,
+    bind: &TopBind,
+    mut levity: Option<&mut Diagnostics>,
+) -> Result<(), (Symbol, CoreError)> {
     let mut scope = Scope::new();
     kind_of(env, &mut scope, &bind.ty).map_err(|e| (bind.name, e))?;
-    let actual = type_of(env, &mut scope, &bind.expr).map_err(|e| (bind.name, e))?;
+    let actual = synth(env, &mut scope, &bind.expr, &mut levity).map_err(|e| (bind.name, e))?;
     if !actual.alpha_eq(&bind.ty) {
         return Err((
             bind.name,
@@ -862,6 +933,7 @@ pub fn check_binding(env: &TypeEnv, bind: &TopBind) -> Result<(), (Symbol, CoreE
 mod tests {
     use super::*;
     use crate::terms::TopBind;
+    use levity_core::diag::ErrorCode;
     use levity_core::rep::Rep;
 
     fn env() -> TypeEnv {
@@ -977,8 +1049,8 @@ mod tests {
     #[test]
     fn levity_polymorphic_signatures_typecheck_here() {
         // myError :: forall (r :: Rep) (a :: TYPE r). Int -> a
-        // The *type checker* accepts this; the §5.1 checks live in the
-        // levity pass (GHC's desugarer, §8.2).
+        // The *type rules* accept this; the §5.1 rules (GHC's desugarer
+        // checks, §8.2) apply only when the walk is handed a sink.
         let env = env();
         let mut scope = Scope::new();
         let r: Symbol = "r".into();
@@ -1186,5 +1258,131 @@ mod tests {
         let (name, err) = check_program(&prog).unwrap_err();
         assert_eq!(name, Symbol::intern("bad"));
         assert!(matches!(err, CoreError::Mismatch { .. }));
+    }
+
+    /// `forall (r :: Rep) (a :: TYPE r). ty`
+    fn rep_poly_ty(ty: Type) -> Type {
+        Type::forall_rep("r", Type::forall_ty("a", Kind::of_rep_var("r".into()), ty))
+    }
+
+    /// `Λ(r :: Rep) (a :: TYPE r). body`
+    fn rep_poly(body: CoreExpr) -> CoreExpr {
+        CoreExpr::rep_lam(
+            "r",
+            CoreExpr::ty_lam("a", Kind::of_rep_var("r".into()), body),
+        )
+    }
+
+    /// `f :: forall (r :: Rep) (a :: TYPE r). a -> a = λ(x :: a). x`:
+    /// well-typed, and its binder breaks §5.1's restriction 1.
+    fn levity_polymorphic_identity() -> Arc<TopBind> {
+        let a = Type::Var("a".into());
+        Arc::new(TopBind {
+            name: "f".into(),
+            ty: rep_poly_ty(Type::fun(a.clone(), a.clone())),
+            expr: rep_poly(CoreExpr::lam("x", a, CoreExpr::Var("x".into()))),
+        })
+    }
+
+    /// `g :: forall (r :: Rep) (a :: TYPE r). Int -> a`
+    /// `  = λ(s :: Int). let (y :: a) = error in y`: well-typed, and its
+    /// `let` binder breaks restriction 1.
+    fn levity_polymorphic_let() -> Arc<TopBind> {
+        let int = Type::con0(&env().builtins.int);
+        let a = Type::Var("a".into());
+        let body = CoreExpr::let_(
+            "y",
+            a.clone(),
+            CoreExpr::Error(a.clone(), "never".to_owned()),
+            CoreExpr::Var("y".into()),
+        );
+        Arc::new(TopBind {
+            name: "g".into(),
+            ty: rep_poly_ty(Type::fun(int.clone(), a)),
+            expr: rep_poly(CoreExpr::lam("s", int, body)),
+        })
+    }
+
+    #[test]
+    fn a_type_error_takes_precedence_over_levity_diagnostics() {
+        let b = &env().builtins;
+        let ill_typed = Arc::new(TopBind {
+            name: "bad".into(),
+            ty: Type::con0(&b.int),
+            expr: CoreExpr::int(1),
+        });
+        let mut levity = Diagnostics::new();
+        let (name, err) = check_module(
+            &mut TypeEnv::new(),
+            &[],
+            &[levity_polymorphic_identity(), ill_typed],
+            Some(&mut levity),
+        )
+        .unwrap_err();
+        assert_eq!(name, Symbol::intern("bad"));
+        assert!(matches!(err, CoreError::Mismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_sink_collects_violations_in_program_order() {
+        let mut levity = Diagnostics::new();
+        let bindings = [levity_polymorphic_identity(), levity_polymorphic_let()];
+        check_module(&mut TypeEnv::new(), &[], &bindings, Some(&mut levity)).unwrap();
+        let found: Vec<_> = levity
+            .iter()
+            .map(|d| (d.code, d.message.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (
+                    ErrorCode::LevityPolymorphicBinder,
+                    "the binder `x` has a levity-polymorphic type `a` (of kind `TYPE r`)"
+                ),
+                (
+                    ErrorCode::LevityPolymorphicBinder,
+                    "the binder `y` has a levity-polymorphic type `a` (of kind `TYPE r`)"
+                ),
+            ]
+        );
+        // Without a sink, the verdict is the same.
+        check_module(&mut TypeEnv::new(), &[], &bindings, None).unwrap();
+    }
+
+    #[test]
+    fn type_of_accepts_abs2_and_a_sink_finds_its_violations() {
+        // abs2 = Λr a. λ(x :: a). abs @r @a x (§7.3): well-typed, with a
+        // levity-polymorphic binder and argument. `type_of` collects no
+        // diagnostics; the same walk handed a sink reports both.
+        let mut env = env();
+        let a = Type::Var("a".into());
+        let ty = rep_poly_ty(Type::fun(a.clone(), a.clone()));
+        env.define_global("abs", ty.clone());
+        let call = CoreExpr::ty_app(
+            CoreExpr::rep_app(CoreExpr::Global("abs".into()), RepTy::Var("r".into())),
+            a.clone(),
+        );
+        let abs2 = rep_poly(CoreExpr::lam(
+            "x",
+            a,
+            CoreExpr::app(call, CoreExpr::Var("x".into())),
+        ));
+        let t = type_of(&env, &mut Scope::new(), &abs2).unwrap();
+        assert!(t.alpha_eq(&ty), "{t}");
+        let bind = TopBind {
+            name: "abs2".into(),
+            ty,
+            expr: abs2,
+        };
+        let mut levity = Diagnostics::new();
+        check_binding(&env, &bind, Some(&mut levity)).unwrap();
+        let codes: Vec<_> = levity.iter().map(|d| d.code).collect();
+        assert_eq!(
+            codes,
+            [
+                ErrorCode::LevityPolymorphicBinder,
+                ErrorCode::LevityPolymorphicArgument
+            ]
+        );
     }
 }
