@@ -9,7 +9,8 @@
 //!   process's one-time set-up, the prelude seed's build included;
 //! * `serve/cold_compile` — latency of a request whose program has
 //!   never been seen (pays the full elaborate→optimise→lower pipeline),
-//!   timed after the first request, so no sample pays the set-up;
+//!   timed once every worker has answered a cold request, so no sample
+//!   pays the process's set-up or a worker's first compile;
 //! * `serve/cold_compile_full` — the same request once the cache is
 //!   full, as on a long-running server: every compile also evicts, and
 //!   frees, the oldest entry;
@@ -63,27 +64,62 @@ fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
     sorted_ns[ix]
 }
 
-/// Cold-compile latency: every request is a program the service has
-/// never seen (a fresh literal makes a fresh content hash).
-fn measure_cold(service: &EvalService, k: usize) -> Vec<f64> {
+/// A program no earlier request has sent (a fresh literal makes a
+/// fresh content hash).
+fn cold_request() -> EvalRequest {
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
+    let n = UNIQUE.fetch_add(1, Ordering::Relaxed);
+    EvalRequest::source(format!("main :: Int#\nmain = {n}# +# 1#\n"))
+}
+
+/// Cold-compile latency: every request is a program the service has
+/// never seen. Each sample comes with the worker that served it.
+fn measure_cold(service: &EvalService, k: usize) -> Vec<(f64, usize)> {
     (0..k)
         .map(|_| {
-            let n = UNIQUE.fetch_add(1, Ordering::Relaxed);
-            let src = format!("main :: Int#\nmain = {n}# +# 1#\n");
             let start = Instant::now();
-            let resp = service.call(EvalRequest::source(src)).expect("cold call");
+            let resp = service.call(cold_request()).expect("cold call");
             let ns = start.elapsed().as_nanos() as f64;
             assert!(!resp.cache_hit, "cold request must miss");
-            ns
+            (ns, resp.worker)
         })
         .collect()
+}
+
+/// Submits untimed cold requests in bursts of one per worker until
+/// every worker has answered one: a worker's first compile costs several
+/// times a later one, so a sample that paid it would measure the
+/// worker, not the pipeline.
+fn warm_workers(service: &EvalService, workers: usize) {
+    let mut answered = vec![false; workers];
+    while answered.contains(&false) {
+        let tickets: Vec<Ticket> = (0..workers)
+            .map(|_| service.submit(cold_request()).expect("warm submit"))
+            .collect();
+        for ticket in tickets {
+            answered[ticket.wait().expect("warm call").worker] = true;
+        }
+    }
+}
+
+/// [`report`]s cold samples, after printing each one's latency and the
+/// worker that served it, in request order.
+fn report_cold(name: &str, samples: &[(f64, usize)]) -> f64 {
+    let served: Vec<String> = samples
+        .iter()
+        .map(|(ns, worker)| format!("{:.0}µs@w{worker}", ns / 1e3))
+        .collect();
+    eprintln!("{name} by worker: {}", served.join(" "));
+    report(
+        name,
+        &mut samples.iter().map(|(ns, _)| *ns).collect::<Vec<_>>(),
+    )
 }
 
 /// Cold-compile latency at steady state: a fresh service's cache is
 /// first filled to its default capacity with distinct programs, so each
 /// timed request also evicts an entry.
-fn measure_cold_full(k: usize) -> Vec<f64> {
+fn measure_cold_full(k: usize) -> Vec<(f64, usize)> {
     let config = ServeConfig::default();
     let capacity = config.cache_capacity;
     let service = EvalService::start(config);
@@ -195,14 +231,17 @@ fn bench_serve(_c: &mut Criterion) {
     let (cold_k, hit_bursts, per_client, rounds) =
         if smoke { (4, 3, 4, 1) } else { (16, 10, 24, 3) };
 
-    let service = EvalService::start(ServeConfig::default());
-    let mut first = measure_cold(&service, 1);
-    let mut cold = measure_cold(&service, cold_k);
+    let config = ServeConfig::default();
+    let workers = config.workers;
+    let service = EvalService::start(config);
+    let first = measure_cold(&service, 1);
+    warm_workers(&service, workers);
+    let cold = measure_cold(&service, cold_k);
     let mut hits = measure_hits(&service, hit_bursts);
     service.shutdown();
-    report("serve/first_compile", &mut first);
-    let cold_mean = report("serve/cold_compile", &mut cold);
-    report("serve/cold_compile_full", &mut measure_cold_full(cold_k));
+    report_cold("serve/first_compile", &first);
+    let cold_mean = report_cold("serve/cold_compile", &cold);
+    report_cold("serve/cold_compile_full", &measure_cold_full(cold_k));
     // The median burst: one burst the host happens to deschedule moves
     // the mean of ten by multiples.
     hits.sort_by(|a, b| a.total_cmp(b));

@@ -219,7 +219,7 @@ fn check_joins(e: &CoreExpr, binding: Symbol, report: &mut LintReport) {
             }
         }
     }
-    each_child(e, |c| check_joins(c, binding, report));
+    e.for_each_child(|c| check_joins(c, binding, report));
 }
 
 // --- CPR worker tails ------------------------------------------------
@@ -443,7 +443,7 @@ fn check_alts(e: &CoreExpr, binding: Symbol, report: &mut LintReport) {
             }
         }
     }
-    each_child(e, |c| check_alts(c, binding, report));
+    e.for_each_child(|c| check_alts(c, binding, report));
 }
 
 // --- strict-let width ------------------------------------------------
@@ -493,38 +493,7 @@ fn check_let_width(e: &CoreExpr, binding: Symbol, report: &mut LintReport) {
         }
         _ => {}
     }
-    each_child(e, |c| check_let_width(c, binding, report));
-}
-
-/// Applies `f` to every direct child expression.
-fn each_child(e: &CoreExpr, mut f: impl FnMut(&CoreExpr)) {
-    match e {
-        CoreExpr::App(a, b) => {
-            f(a);
-            f(b);
-        }
-        CoreExpr::Let(_, _, _, a, b) => {
-            f(a);
-            f(b);
-        }
-        CoreExpr::TyApp(a, _)
-        | CoreExpr::RepApp(a, _)
-        | CoreExpr::Lam(_, _, a)
-        | CoreExpr::TyLam(_, _, a)
-        | CoreExpr::RepLam(_, a) => f(a),
-        CoreExpr::Case(scrut, alts) => {
-            f(scrut);
-            for alt in alts {
-                f(alt.rhs());
-            }
-        }
-        CoreExpr::Con(_, _, args) | CoreExpr::Prim(_, args) | CoreExpr::Tuple(args) => {
-            for a in args {
-                f(a);
-            }
-        }
-        CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => {}
-    }
+    e.for_each_child(|c| check_let_width(c, binding, report));
 }
 
 #[cfg(test)]

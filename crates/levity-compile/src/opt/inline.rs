@@ -3,9 +3,13 @@
 //!
 //! The specialiser leaves behind direct calls like `$fNum_Int#_+ acc n`
 //! whose bodies are a couple of nodes; the worker/wrapper split leaves
-//! thin wrappers at every call site. This pass replaces such calls with
-//! the callee's body, substituting atomic arguments directly and
-//! `let`-binding the rest.
+//! thin wrappers at every call site. Such a call is replaced with the
+//! callee's body, atomic arguments substituted directly and the rest
+//! `let`-bound. This module decides which callees qualify
+//! (`inlineable`) and rewrites one call (`graft`); it runs no pass of
+//! its own. The simplifier ([`simplify`](super::simplify)) grafts as
+//! its walk meets a call, as GHC's simplifier decides inlining at each
+//! call site it meets.
 //!
 //! Two invariants keep the rewrite outcome-exact:
 //!
@@ -16,34 +20,20 @@
 //!   right-to-left (each `App` wraps its own `let!` around the spine
 //!   built so far) — the `let` nest reproduces that order exactly.
 //!
-//! Functions on a call-graph cycle are never inlined (the pass would not
+//! Functions on a call-graph cycle are never inlined (grafting would not
 //! terminate, and loops belong in one place); everything else under the
 //! size threshold is fair game, plus whatever the worker/wrapper pass
 //! explicitly marks (wrappers must disappear at call sites for the
 //! worker to tail-call itself directly).
-//!
-//! The pass works from the optimizer's entry points, through
-//! [`rewrite_reachable`]: it rewrites the entries, then whatever the
-//! rewritten bodies still call, and drops every binding no rewritten
-//! body reaches — a callee whose every call site was grafted goes in
-//! the pass that emptied it, as GHC drops a binding in the pass that
-//! inlines its last use. A chain `c_j x = c_{j-1} …` therefore
-//! collapses into `main` once, not into every `c_j` on the way, and
-//! the passes after it see only `main`. Every graft comes from the
-//! pre-pass snapshot of bodies, so the result does not depend on the
-//! visit order; the fresh binder names do, which is why the walk's
-//! order is fixed (see [`usage`](super::usage)).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use levity_core::rep::RepTy;
 use levity_core::symbol::Symbol;
-use levity_ir::terms::{CoreAlt, CoreExpr, LetKind, Program};
+use levity_ir::terms::{CoreExpr, LetKind, Program};
 use levity_ir::types::Type;
 
-use super::subst::{globals_of, is_value_atom, refresh_binders, substitute};
-use super::usage::rewrite_reachable;
+use super::subst::{globals_of, is_value_atom, mentions_global, refresh_binders, substitute};
 
 /// Bodies above this node count are not worth duplicating.
 const INLINE_SIZE_LIMIT: usize = 64;
@@ -214,16 +204,14 @@ fn cyclic_globals(prog: &Program) -> HashSet<Symbol> {
     cyclic
 }
 
-/// Runs one inlining pass over the bindings reachable from `entries`.
-/// `force_inline` names bindings (worker/wrapper wrappers) inlined
-/// regardless of size. Returns the rewritten program — the rewritten
-/// reachable bindings only, in program order, each with no graft kept
-/// as the same `Arc` — and the number of call sites inlined.
-pub fn inline(
-    prog: &Program,
-    entries: &HashSet<Symbol>,
+/// The bodies a pass over `prog` may graft: every binding of at most
+/// [`INLINE_SIZE_LIMIT`] nodes on no call-graph cycle, and every binding
+/// `force_inline` names (worker/wrapper wrappers) that does not mention
+/// itself, whatever its size.
+pub(super) fn inlineable<'a>(
+    prog: &'a Program,
     force_inline: &HashSet<Symbol>,
-) -> (Program, usize) {
+) -> HashMap<Symbol, &'a CoreExpr> {
     let cyclic = cyclic_globals(prog);
     let mut bodies: HashMap<Symbol, &CoreExpr> = HashMap::new();
     for b in &prog.bindings {
@@ -233,7 +221,7 @@ pub fn inline(
         // happen for the worker to call itself directly. The worker is
         // the loop breaker.
         let allowed = if force_inline.contains(&b.name) {
-            !super::subst::mentions_global(&b.expr, b.name)
+            !mentions_global(&b.expr, b.name)
         } else {
             b.expr.size() <= INLINE_SIZE_LIMIT && !cyclic.contains(&b.name)
         };
@@ -241,87 +229,25 @@ pub fn inline(
             bodies.insert(b.name, &b.expr);
         }
     }
-    let mut count = 0usize;
-    let out = rewrite_reachable(prog, entries, |b| {
-        let before = count;
-        let expr = walk(&b.expr, &bodies, &mut count);
-        super::rebuilt(b, count - before, expr)
-    });
-    (out, count)
+    bodies
 }
 
-fn walk(e: &CoreExpr, bodies: &HashMap<Symbol, &CoreExpr>, count: &mut usize) -> CoreExpr {
-    // Try the node itself as a saturated call first.
-    if matches!(e, CoreExpr::App(..)) {
-        let (head, parts) = flatten_spine(e);
-        if let CoreExpr::Global(g) = head {
-            if let Some(body) = bodies.get(g) {
-                // Saturation: at least one term argument, and the binder
-                // chain must consume every type/rep argument.
-                let has_term = parts.iter().any(|p| matches!(p, SpinePart::Term(_)));
-                if has_term {
-                    if let Some(reduced) = beta(body, &parts) {
-                        *count += 1;
-                        // Process the grafted body's own sub-calls (the
-                        // graft is fresh code from a *pre-pass* snapshot,
-                        // so this cannot loop).
-                        return walk(&reduced, bodies, count);
-                    }
-                }
-            }
-        }
+/// The graft of `e`: when `e` is a call to one of `bodies`, the callee's
+/// body β-reduced against the call's arguments. `None` when `e` is no
+/// such call, or when the callee's binder chain does not consume its
+/// type and representation arguments. The spine's arguments are cloned
+/// only once its head is known to be inlineable.
+pub(super) fn graft(e: &CoreExpr, bodies: &HashMap<Symbol, &CoreExpr>) -> Option<CoreExpr> {
+    // A term application: the call has at least one term argument.
+    if !matches!(e, CoreExpr::App(..)) {
+        return None;
     }
-    match e {
-        CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => {
-            e.clone()
-        }
-        CoreExpr::App(f, a) => CoreExpr::app(walk(f, bodies, count), walk(a, bodies, count)),
-        CoreExpr::TyApp(f, t) => CoreExpr::ty_app(walk(f, bodies, count), t.clone()),
-        CoreExpr::RepApp(f, r) => CoreExpr::rep_app(walk(f, bodies, count), r.clone()),
-        CoreExpr::Lam(x, t, b) => CoreExpr::lam(*x, t.clone(), walk(b, bodies, count)),
-        CoreExpr::TyLam(a, k, b) => CoreExpr::ty_lam(*a, k.clone(), walk(b, bodies, count)),
-        CoreExpr::RepLam(r, b) => CoreExpr::rep_lam(*r, walk(b, bodies, count)),
-        CoreExpr::Let(kind, x, t, rhs, body) => CoreExpr::Let(
-            *kind,
-            *x,
-            t.clone(),
-            Box::new(walk(rhs, bodies, count)),
-            Box::new(walk(body, bodies, count)),
-        ),
-        CoreExpr::Case(scrut, alts) => CoreExpr::Case(
-            Box::new(walk(scrut, bodies, count)),
-            alts.iter()
-                .map(|alt| match alt {
-                    CoreAlt::Con { con, binders, rhs } => CoreAlt::Con {
-                        con: Arc::clone(con),
-                        binders: binders.clone(),
-                        rhs: walk(rhs, bodies, count),
-                    },
-                    CoreAlt::Lit { lit, rhs } => CoreAlt::Lit {
-                        lit: *lit,
-                        rhs: walk(rhs, bodies, count),
-                    },
-                    CoreAlt::Tuple { binders, rhs } => CoreAlt::Tuple {
-                        binders: binders.clone(),
-                        rhs: walk(rhs, bodies, count),
-                    },
-                    CoreAlt::Default { binder, rhs } => CoreAlt::Default {
-                        binder: binder.clone(),
-                        rhs: walk(rhs, bodies, count),
-                    },
-                })
-                .collect(),
-        ),
-        CoreExpr::Con(con, ty_args, fields) => CoreExpr::Con(
-            Arc::clone(con),
-            ty_args.clone(),
-            fields.iter().map(|f| walk(f, bodies, count)).collect(),
-        ),
-        CoreExpr::Prim(op, args) => {
-            CoreExpr::Prim(*op, args.iter().map(|a| walk(a, bodies, count)).collect())
-        }
-        CoreExpr::Tuple(args) => {
-            CoreExpr::Tuple(args.iter().map(|a| walk(a, bodies, count)).collect())
-        }
+    let mut head = e;
+    while let CoreExpr::App(f, _) | CoreExpr::TyApp(f, _) | CoreExpr::RepApp(f, _) = head {
+        head = f;
     }
+    let CoreExpr::Global(g) = head else {
+        return None;
+    };
+    beta(bodies.get(g)?, &flatten_spine(e).1)
 }

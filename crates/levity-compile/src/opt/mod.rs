@@ -22,34 +22,29 @@
 //! 2. [`specialise`](specialise::specialise) — class-method projections
 //!    out of statically known dictionaries become direct calls to the
 //!    instance methods (§7.3's cost, refunded);
-//! 3. [`inline`](inline::inline) + [`simplify`](simplify::simplify) —
-//!    small non-recursive calls β-reduce, case-of-known-constructor and
-//!    friends clean up; a multi-alternative case-of-case binds its
-//!    outer alternatives as **join points** ([`join`]) so continuations
-//!    flow inward without duplication (iterated to a bounded fixpoint;
-//!    a round in which neither pass changed a binding ends the loop).
-//!    The inliner rewrites only what the entry points reach *after* its
-//!    grafts ([`usage::rewrite_reachable`]), so it drops what it empties
-//!    in the same pass: a chain of definitions collapses into `main`
-//!    once, and the passes after it see `main` alone;
+//! 3. [`simplify`](simplify::simplify) — small non-recursive calls are
+//!    grafted ([`inline`]) and β-reduce as the walk meets them,
+//!    case-of-known-constructor and friends clean up; a
+//!    multi-alternative case-of-case binds its outer alternatives as
+//!    **join points** ([`join`]) so continuations flow inward without
+//!    duplication (iterated to a bounded fixpoint, one pass and one
+//!    check a round; a pass that changed no binding ends the loop). The
+//!    pass rewrites only what the entry points reach *after* its
+//!    rewrites ([`usage::rewrite_reachable`]), so it drops what it
+//!    empties in the same pass: a chain of definitions collapses into
+//!    `main` once, and the passes after it see `main` alone;
 //! 4. [`worker_wrapper`](ww::worker_wrapper) — strictly-demanded boxed
 //!    arguments split into an unboxed worker plus an inline wrapper,
 //!    with each binder's §6.2 register class read off its kind; a
 //!    single-constructor **result** scrutinised at every call site is
 //!    returned as an unboxed tuple (CPR), the wrapper reboxing;
-//! 5. inline + simplify again, so wrappers vanish at call sites,
-//!    workers tail-call themselves on raw registers, and CPR reboxes
-//!    cancel against call-site scrutinies;
-//! 6. [`eliminate_dead_globals`](usage::eliminate_dead_globals) again —
-//!    the inline passes already dropped the specialised-away originals,
-//!    orphaned selectors and inlined wrappers; this sweep drops what
-//!    the simplify round after the last of them left unreachable (a
-//!    global mentioned only in a branch case-of-known-constructor
-//!    discarded, or in a dead `let`), which would otherwise cost
-//!    lowering and code size. The entry-point set is the caller's
-//!    ([`optimise_program`]'s `entry_points`; `None` skips both sweeps
-//!    and makes every binding an entry of the inliner, so every
-//!    binding is kept).
+//! 5. simplify again, so wrappers vanish at call sites, workers
+//!    tail-call themselves on raw registers, and CPR reboxes cancel
+//!    against call-site scrutinies. Its last pass leaves nothing the
+//!    entries cannot reach, so no sweep follows it. The entry-point set
+//!    is the caller's ([`optimise_program`]'s `entry_points`; `None`
+//!    skips the sweep of step 0 and makes every binding an entry of the
+//!    simplifier, so every binding is kept).
 //!
 //! The worked §7.3 example, end to end. The elaborated
 //!
@@ -145,7 +140,7 @@ pub struct OptReport {
     /// Dictionary projections replaced by instance methods (per-round
     /// maximum).
     pub specialised: usize,
-    /// Call sites inlined (per-round maximum).
+    /// Call sites grafted by the simplifier (per-round maximum).
     pub inlined: usize,
     /// Simplifier rewrites applied (per-round maximum).
     pub simplified: usize,
@@ -156,12 +151,12 @@ pub struct OptReport {
     /// Workers whose *result* was unboxed to `(# … #)` (constructed
     /// product result); a subset of [`OptReport::workers`].
     pub cpr_workers: usize,
-    /// Unreachable top-level bindings eliminated, summed over the two
-    /// sweeps and the inline passes: the sweep before the passes drops
-    /// what the entries never reached; each inline pass drops what its
-    /// grafts emptied (chain definitions, specialised-away originals,
-    /// inlined clones and wrappers); the sweep after them drops what
-    /// the simplify round after the last inline pass left unreachable.
+    /// Unreachable top-level bindings eliminated, summed over the sweep
+    /// and the simplifier passes: the sweep before the passes drops what
+    /// the entries never reached; each simplifier pass drops what its
+    /// grafts and rewrites emptied (chain definitions,
+    /// specialised-away originals, inlined clones and wrappers, globals
+    /// only a discarded branch mentioned).
     pub dead_globals: usize,
     /// Bindings re-typechecked after the passes, summed over every
     /// check ([`Checker`]): the first check takes every binding, each
@@ -185,10 +180,10 @@ fn fold_round(counter: &mut usize, this_round: usize) {
     *counter = (*counter).max(this_round);
 }
 
-/// Inline/simplify rounds on each side of the worker/wrapper split.
+/// Simplifier rounds on each side of the worker/wrapper split.
 const ROUNDS: usize = 2;
 
-/// Bound on the spec-fun ▸ specialise ▸ inline+simplify fixed-point
+/// Bound on the spec-fun ▸ specialise ▸ simplify fixed-point
 /// loop: a later round only finds work when the previous one exposed a
 /// new statically known dictionary (e.g. a `let d = $dNum_Int in f … d`
 /// that let-of-atom collapsed), so two extra rounds cover everything
@@ -201,10 +196,10 @@ const SPEC_ROUNDS: usize = 3;
 /// [`TypeEnv`] — already covering any worker globals the split added,
 /// so the caller can lower without re-checking.
 ///
-/// `entry_points` drives dead-global elimination, before the passes,
-/// in every inline pass and after them: bindings unreachable from the
-/// set are dropped. `None` makes every binding an entry, so every
-/// binding is kept.
+/// `entry_points` drives dead-global elimination, before the passes
+/// and in every simplifier pass: bindings unreachable from the set are
+/// dropped. `None` makes every binding an entry, so every binding is
+/// kept.
 ///
 /// # Errors
 ///
@@ -234,7 +229,7 @@ pub fn optimise_program(
     // The persistent (function, dictionary-tuple) → clone-name map: a
     // later round that re-exposes an already-specialised tuple
     // redirects to the existing clone instead of minting a duplicate
-    // (or mints it again, if the inliner has since dropped it).
+    // (or mints it again, if the simplifier has since dropped it).
     let mut spec_cache: HashMap<String, Symbol> = HashMap::new();
     for round in 0..SPEC_ROUNDS {
         let (next, clones, calls) = spec_fun::specialise_functions(&cur, &mut spec_cache);
@@ -253,7 +248,7 @@ pub fn optimise_program(
         cur = next;
         let env = checker.validate(&cur, "specialise", &mut report)?;
         let (next, env) =
-            inline_rounds(cur, env, entry_points, &no_force, &mut checker, &mut report)?;
+            simplify_rounds(cur, env, entry_points, &no_force, &mut checker, &mut report)?;
         cur = next;
         env_opt = Some(env);
     }
@@ -264,19 +259,7 @@ pub fn optimise_program(
     report.cpr_workers = cpr;
     cur = next;
     let env = checker.validate(&cur, "worker/wrapper", &mut report)?;
-    let (next, mut env) =
-        inline_rounds(cur, env, entry_points, &wrappers, &mut checker, &mut report)?;
-    cur = next;
-
-    if let Some(entries) = entry_points {
-        // The sweep keeps the `Arc` of every binding it keeps, and no
-        // kept binding mentions a dropped one, so its check re-checks
-        // nothing.
-        let (next, dropped) = usage::eliminate_dead_globals(&cur, entries);
-        report.dead_globals += dropped;
-        cur = next;
-        env = checker.validate(&cur, "dead-globals", &mut report)?;
-    }
+    let (cur, env) = simplify_rounds(cur, env, entry_points, &wrappers, &mut checker, &mut report)?;
     if !cfg!(debug_assertions) {
         // Debug builds linted after every pass inside `validate`;
         // release pays for one run over the final program.
@@ -285,13 +268,14 @@ pub fn optimise_program(
     Ok((cur, report, env))
 }
 
-/// Up to [`ROUNDS`] rounds of inline + simplify, each pass validated.
-/// The inliner walks from `entry_points` — from every binding when
-/// there are none, so a library keeps all of them — and the bindings it
-/// leaves unreached are dropped on the spot, counted as dead globals. A
-/// round in which neither pass changed a binding ends the loop: the
-/// next round would see the same program and change nothing either.
-fn inline_rounds(
+/// Up to [`ROUNDS`] simplifier passes, each validated. A pass walks
+/// from `entry_points` — from every binding when there are none, so a
+/// library keeps all of them — grafting inlineable callees as it meets
+/// their calls, and the bindings its simplified bodies leave unreached
+/// are dropped on the spot, counted as dead globals. A pass that changed
+/// no binding ends the loop: the next would see the same program and
+/// change nothing either.
+fn simplify_rounds(
     mut cur: Program,
     mut env: TypeEnv,
     entry_points: Option<&HashSet<Symbol>>,
@@ -300,7 +284,6 @@ fn inline_rounds(
     report: &mut OptReport,
 ) -> Result<(Program, TypeEnv), (Symbol, CoreError)> {
     for _ in 0..ROUNDS {
-        let start = cur.bindings.clone();
         let every_binding: HashSet<Symbol>;
         let entries = match entry_points {
             Some(entries) => entries,
@@ -309,17 +292,15 @@ fn inline_rounds(
                 &every_binding
             }
         };
-        let (next, n) = inline::inline(&cur, entries, force_inline);
-        fold_round(&mut report.inlined, n);
-        report.dead_globals += cur.bindings.len() - next.bindings.len();
-        cur = next;
-        env = checker.validate(&cur, "inline", report)?;
-        let (next, n, joins) = simplify::simplify(&env, &cur);
-        fold_round(&mut report.simplified, n);
+        let (next, grafts, rewrites, joins) = simplify::simplify(&env, &cur, entries, force_inline);
+        fold_round(&mut report.inlined, grafts);
+        fold_round(&mut report.simplified, rewrites);
         fold_round(&mut report.join_points, joins);
+        report.dead_globals += cur.bindings.len() - next.bindings.len();
+        let unchanged = same_arcs(&cur.bindings, &next.bindings);
         cur = next;
         env = checker.validate(&cur, "simplify", report)?;
-        if same_arcs(&start, &cur.bindings) {
+        if unchanged {
             break;
         }
     }
@@ -556,7 +537,7 @@ mod tests {
         let ih = Type::con0(&env.builtins.int_hash);
         let int = Type::con0(&env.builtins.int);
         // inc n = case n of I# k -> I# (k +# 1#); main = inc (I# 1#) —
-        // enough surface for inline + simplify + worker/wrapper to act.
+        // enough surface for the simplifier and worker/wrapper to act.
         let inc_body = CoreExpr::lam(
             "n",
             int.clone(),
@@ -682,7 +663,7 @@ mod tests {
     }
 
     /// A pointer-identical program re-checks nothing — neither a copy of
-    /// the last one nor what a final dead-global sweep that drops nothing
+    /// the last one nor what a dead-global sweep that drops nothing
     /// returns.
     #[test]
     fn checker_rechecks_nothing_in_a_pointer_identical_program() {

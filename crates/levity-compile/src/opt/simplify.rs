@@ -1,6 +1,7 @@
-//! The cleanup simplifier: case-of-known-constructor and friends.
+//! The simplifier: inlining at call sites, case-of-known-constructor
+//! and friends.
 //!
-//! Inlining and worker/wrapper leave behind shapes like
+//! Grafts and worker/wrapper leave behind shapes like
 //!
 //! ```text
 //! case (let a = … in case b of { I# y -> I# (x -# y) }) of { I# k -> e }
@@ -8,6 +9,10 @@
 //!
 //! This pass normalizes them away with local, outcome-exact rules:
 //!
+//! * **graft** — a saturated call to a small non-recursive global, or to
+//!   a worker/wrapper wrapper, becomes the callee's β-reduced body
+//!   ([`super::inline`] decides which callees qualify and rewrites the
+//!   call);
 //! * **β** — a literal `(\x -> e) a` redex reduces (via the inliner's
 //!   machinery, so argument evaluation order is preserved);
 //! * **case-of-let** — `case (let x = r in b) of alts` floats the `let`
@@ -35,8 +40,32 @@
 //! Every strictness decision is made from the binder's *type* via
 //! [`kind_of`], exactly the §6.2 rule lowering itself uses — which is
 //! what makes these rewrites representation-preserving.
+//!
+//! **The grafting rule.** A body is simplified in up to four rounds,
+//! and only the first grafts: top-down, on the nodes of the body handed
+//! in and of each graft, before the walk descends into them (the other
+//! rules apply bottom-up, children first). The result of a rewrite is
+//! walked without grafting, so a call that a rewrite exposes (`let k =
+//! h in k 0#` becomes `h 0#`) is grafted by the next pass. Grafts come
+//! from the pass's input bodies, and no callee on a call-graph cycle is
+//! inlineable, so grafting terminates; a graft neither marks a round
+//! changed nor spends rewrite fuel.
+//!
+//! The pass works from the optimizer's entry points, through
+//! [`rewrite_reachable`]: it simplifies the entries, then whatever the
+//! simplified bodies still call, and drops every binding no simplified
+//! body reaches — a callee whose every call was grafted, or one only a
+//! discarded branch mentioned, goes in the pass that emptied it, as GHC
+//! drops a binding in the pass that inlines its last use. A chain
+//! `c_j x = c_{j-1} …` therefore collapses into `main` once, not into
+//! every `c_j` on the way, and the passes after it see only `main`; the
+//! last pass leaves nothing unreachable behind it. Grafts and the
+//! constructor globals are read off the pass's input, so the result
+//! does not depend on the visit order; the fresh binder names do, which
+//! is why the walk's order is fixed (see [`usage`](super::usage)).
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use levity_core::rep::Rep;
@@ -47,8 +76,9 @@ use levity_ir::typecheck::{kind_of, Scope, ScopeEntry, TypeEnv};
 use levity_ir::types::Type;
 use levity_m::syntax::Literal;
 
-use super::inline::reduce_redex;
+use super::inline::{self, inlineable, reduce_redex};
 use super::subst::{count_uses, is_atom, is_value_atom, substitute};
+use super::usage::rewrite_reachable;
 
 /// Hard cap on rewrites per binding; guarantees termination regardless
 /// of rule interaction.
@@ -72,13 +102,17 @@ struct GlobalCon {
     fields: Vec<CoreExpr>,
 }
 
-/// Shared context for one simplification pass. `join_points` counts the
-/// continuations bound by the multi-alternative case-of-case rule (a
-/// `Cell` so the read-mostly context can stay shared).
+/// Shared context for one simplification pass: the bodies it may graft,
+/// and the globals that are constructors of atoms, both read off the
+/// pass's input. `grafts` counts the calls grafted and `join_points` the
+/// continuations bound by the multi-alternative case-of-case rule
+/// (`Cell`s so the read-mostly context can stay shared).
 struct Cx<'a> {
     env: &'a TypeEnv,
+    bodies: HashMap<Symbol, &'a CoreExpr>,
     global_cons: HashMap<Symbol, GlobalCon>,
-    join_points: std::cell::Cell<usize>,
+    grafts: Cell<usize>,
+    join_points: Cell<usize>,
 }
 
 impl Cx<'_> {
@@ -129,11 +163,19 @@ fn pure_total(e: &CoreExpr) -> bool {
     }
 }
 
-/// Runs the simplifier over a whole program (to a bounded fixpoint per
-/// binding). Returns the program, each binding with no rewrite kept as
-/// the same `Arc`, the number of rewrites applied, and the number of
-/// join points bound by the case-of-case rule.
-pub fn simplify(env: &TypeEnv, prog: &Program) -> (Program, usize, usize) {
+/// Runs one simplifier pass over the bindings reachable from `entries`
+/// (to a bounded fixpoint per binding), grafting calls to the callees
+/// `inline::inlineable` selects from `prog` and `force_inline`. Returns
+/// the rewritten program — the rewritten reachable bindings only, in
+/// program order, each with neither graft nor rewrite kept as the same
+/// `Arc` — the number of calls grafted, the number of rewrites applied,
+/// and the number of join points bound by the case-of-case rule.
+pub fn simplify(
+    env: &TypeEnv,
+    prog: &Program,
+    entries: &HashSet<Symbol>,
+    force_inline: &HashSet<Symbol>,
+) -> (Program, usize, usize, usize) {
     let mut global_cons = HashMap::new();
     for b in &prog.bindings {
         if let CoreExpr::Con(con, _, fields) = &b.expr {
@@ -150,105 +192,115 @@ pub fn simplify(env: &TypeEnv, prog: &Program) -> (Program, usize, usize) {
     }
     let cx = Cx {
         env,
+        bodies: inlineable(prog, force_inline),
         global_cons,
-        join_points: std::cell::Cell::new(0),
+        grafts: Cell::new(0),
+        join_points: Cell::new(0),
     };
-    let mut total = 0usize;
-    let bindings = prog
-        .bindings
-        .iter()
-        .map(|b| {
-            let (expr, rewrites) = simp_rounds(&b.expr, &cx);
-            total += rewrites;
-            super::rebuilt(b, rewrites, expr)
-        })
-        .collect();
-    (
-        Program {
-            data_decls: prog.data_decls.clone(),
-            bindings,
-        },
-        total,
-        cx.join_points.get(),
-    )
+    let mut rewrites = 0usize;
+    let out = rewrite_reachable(prog, entries, |b| {
+        let grafts = cx.grafts.get();
+        let (expr, n) = simp_rounds(&b.expr, &cx);
+        rewrites += n;
+        super::rebuilt(b, n + cx.grafts.get() - grafts, expr)
+    });
+    (out, cx.grafts.get(), rewrites, cx.join_points.get())
 }
 
 /// Simplifies one body: up to four rounds, each with fresh fuel, until
-/// a round rewrites nothing. Returns the body and its rewrite count.
+/// a round rewrites nothing; only the first grafts. Returns the body
+/// and its rewrite count.
 fn simp_rounds(body: &CoreExpr, cx: &Cx<'_>) -> (CoreExpr, usize) {
     let mut rewrites = 0usize;
-    let mut round = |e: &CoreExpr| {
+    let mut round = |e: &CoreExpr, graft: bool| {
         let mut fuel = REWRITE_FUEL;
         let mut changed = false;
-        let out = simp(e, cx, &mut Scope::new(), &mut changed, &mut fuel);
+        let out = simp(e, cx, graft, &mut Scope::new(), &mut changed, &mut fuel);
         rewrites += (REWRITE_FUEL - fuel) as usize;
         (out, changed)
     };
-    let (mut expr, mut changed) = round(body);
+    let (mut expr, mut changed) = round(body, true);
     for _ in 1..4 {
         if !changed {
             break;
         }
-        (expr, changed) = round(&expr);
+        (expr, changed) = round(&expr, false);
     }
     (expr, rewrites)
 }
 
+/// Simplifies `e`, grafting its inlineable calls first when `graft` is
+/// set (see the module docs for the grafting rule).
 fn simp(
     e: &CoreExpr,
     cx: &Cx<'_>,
+    graft: bool,
     scope: &mut Scope,
     changed: &mut bool,
     fuel: &mut u32,
 ) -> CoreExpr {
+    // Top-down: graft the node before descending into it, in a loop
+    // here rather than one frame deeper per graft.
+    let mut grafted = None;
+    if graft {
+        while let Some(next) = inline::graft(grafted.as_ref().unwrap_or(e), &cx.bodies) {
+            cx.grafts.set(cx.grafts.get() + 1);
+            grafted = Some(next);
+        }
+    }
+    let e = grafted.as_ref().unwrap_or(e);
     // Bottom-up: simplify children first.
     let node = match e {
         CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => {
             e.clone()
         }
         CoreExpr::App(f, a) => CoreExpr::app(
-            simp(f, cx, scope, changed, fuel),
-            simp(a, cx, scope, changed, fuel),
+            simp(f, cx, graft, scope, changed, fuel),
+            simp(a, cx, graft, scope, changed, fuel),
         ),
-        CoreExpr::TyApp(f, t) => CoreExpr::ty_app(simp(f, cx, scope, changed, fuel), t.clone()),
-        CoreExpr::RepApp(f, r) => CoreExpr::rep_app(simp(f, cx, scope, changed, fuel), r.clone()),
+        CoreExpr::TyApp(f, t) => {
+            CoreExpr::ty_app(simp(f, cx, graft, scope, changed, fuel), t.clone())
+        }
+        CoreExpr::RepApp(f, r) => {
+            CoreExpr::rep_app(simp(f, cx, graft, scope, changed, fuel), r.clone())
+        }
         CoreExpr::Lam(x, t, b) => {
             scope.push(*x, ScopeEntry::Term(t.clone()));
-            let b = simp(b, cx, scope, changed, fuel);
+            let b = simp(b, cx, graft, scope, changed, fuel);
             scope.pop();
             CoreExpr::lam(*x, t.clone(), b)
         }
         CoreExpr::TyLam(a, k, b) => {
             scope.push(*a, ScopeEntry::TyVar(k.clone()));
-            let b = simp(b, cx, scope, changed, fuel);
+            let b = simp(b, cx, graft, scope, changed, fuel);
             scope.pop();
             CoreExpr::ty_lam(*a, k.clone(), b)
         }
         CoreExpr::RepLam(r, b) => {
             scope.push(*r, ScopeEntry::RepVar);
-            let b = simp(b, cx, scope, changed, fuel);
+            let b = simp(b, cx, graft, scope, changed, fuel);
             scope.pop();
             CoreExpr::rep_lam(*r, b)
         }
         CoreExpr::Let(kind, x, t, rhs, body) => {
             let rhs = if *kind == LetKind::Rec {
                 scope.push(*x, ScopeEntry::Term(t.clone()));
-                let r = simp(rhs, cx, scope, changed, fuel);
+                let r = simp(rhs, cx, graft, scope, changed, fuel);
                 scope.pop();
                 r
             } else {
-                simp(rhs, cx, scope, changed, fuel)
+                simp(rhs, cx, graft, scope, changed, fuel)
             };
             scope.push(*x, ScopeEntry::Term(t.clone()));
-            let body = simp(body, cx, scope, changed, fuel);
+            let body = simp(body, cx, graft, scope, changed, fuel);
             scope.pop();
             CoreExpr::Let(*kind, *x, t.clone(), Box::new(rhs), Box::new(body))
         }
         CoreExpr::Case(scrut, alts) => {
-            let scrut = simp(scrut, cx, scope, changed, fuel);
+            let scrut = simp(scrut, cx, graft, scope, changed, fuel);
             let alts = alts
                 .iter()
-                .map(|alt| simp_alt(alt, cx, scope, changed, fuel))
+                .map(|alt| simp_alt(alt, cx, graft, scope, changed, fuel))
                 .collect();
             CoreExpr::Case(Box::new(scrut), alts)
         }
@@ -257,24 +309,26 @@ fn simp(
             ty_args.clone(),
             fields
                 .iter()
-                .map(|f| simp(f, cx, scope, changed, fuel))
+                .map(|f| simp(f, cx, graft, scope, changed, fuel))
                 .collect(),
         ),
         CoreExpr::Prim(op, args) => CoreExpr::Prim(
             *op,
             args.iter()
-                .map(|a| simp(a, cx, scope, changed, fuel))
+                .map(|a| simp(a, cx, graft, scope, changed, fuel))
                 .collect(),
         ),
         CoreExpr::Tuple(args) => CoreExpr::Tuple(
             args.iter()
-                .map(|a| simp(a, cx, scope, changed, fuel))
+                .map(|a| simp(a, cx, graft, scope, changed, fuel))
                 .collect(),
         ),
     };
     // Then rewrite the node itself; a successful rewrite is re-entered
     // so newly exposed redexes (case-of-known-con after a push, a let of
-    // an atom after a selection) simplify in the same pass.
+    // an atom after a selection) simplify in the same pass. The result
+    // is walked without grafting: a call the rewrite exposed is grafted
+    // by the next pass.
     if *fuel == 0 {
         return node;
     }
@@ -282,7 +336,7 @@ fn simp(
         Some(next) => {
             *changed = true;
             *fuel -= 1;
-            simp(&next, cx, scope, changed, fuel)
+            simp(&next, cx, false, scope, changed, fuel)
         }
         None => node,
     }
@@ -291,6 +345,7 @@ fn simp(
 fn simp_alt(
     alt: &CoreAlt,
     cx: &Cx<'_>,
+    graft: bool,
     scope: &mut Scope,
     changed: &mut bool,
     fuel: &mut u32,
@@ -300,7 +355,7 @@ fn simp_alt(
             for (x, t) in binders {
                 scope.push(*x, ScopeEntry::Term(t.clone()));
             }
-            let rhs = simp(rhs, cx, scope, changed, fuel);
+            let rhs = simp(rhs, cx, graft, scope, changed, fuel);
             for _ in binders {
                 scope.pop();
             }
@@ -312,13 +367,13 @@ fn simp_alt(
         }
         CoreAlt::Lit { lit, rhs } => CoreAlt::Lit {
             lit: *lit,
-            rhs: simp(rhs, cx, scope, changed, fuel),
+            rhs: simp(rhs, cx, graft, scope, changed, fuel),
         },
         CoreAlt::Tuple { binders, rhs } => {
             for (x, t) in binders {
                 scope.push(*x, ScopeEntry::Term(t.clone()));
             }
-            let rhs = simp(rhs, cx, scope, changed, fuel);
+            let rhs = simp(rhs, cx, graft, scope, changed, fuel);
             for _ in binders {
                 scope.pop();
             }
@@ -331,7 +386,7 @@ fn simp_alt(
             if let Some((x, t)) = binder {
                 scope.push(*x, ScopeEntry::Term(t.clone()));
             }
-            let rhs = simp(rhs, cx, scope, changed, fuel);
+            let rhs = simp(rhs, cx, graft, scope, changed, fuel);
             if binder.is_some() {
                 scope.pop();
             }
@@ -787,4 +842,61 @@ fn select_lit(l: Literal, alts: &[CoreAlt]) -> Option<CoreExpr> {
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use levity_ir::terms::TopBind;
+    use levity_ir::typecheck::check_program;
+
+    /// Pins the grafting rule: a pass grafts the calls of the bodies it
+    /// is handed, never a call that one of its rewrites exposes. With
+    /// `h = λx. x`, let-of-atom turns `main = let k = h in k 0#` into
+    /// `h 0#`, and only the next pass grafts that to `0#` and drops `h`.
+    #[test]
+    fn a_call_a_rewrite_exposes_is_grafted_by_the_next_pass() {
+        let env = TypeEnv::new();
+        let ih = Type::con0(&env.builtins.int_hash);
+        let fun = Type::fun(ih.clone(), ih.clone());
+        let prog = Program {
+            data_decls: env.builtins.data_decls.clone(),
+            bindings: vec![
+                TopBind {
+                    name: "h".into(),
+                    ty: fun.clone(),
+                    expr: CoreExpr::lam("x", ih.clone(), CoreExpr::Var("x".into())),
+                }
+                .into(),
+                TopBind {
+                    name: "main".into(),
+                    ty: ih,
+                    expr: CoreExpr::let_(
+                        "k",
+                        fun,
+                        CoreExpr::Global("h".into()),
+                        CoreExpr::app(CoreExpr::Var("k".into()), CoreExpr::int(0)),
+                    ),
+                }
+                .into(),
+            ],
+        };
+        let entries: HashSet<Symbol> = ["main".into()].into();
+        let pass = |prog: &Program| {
+            let env = check_program(prog).unwrap();
+            let (out, grafts, rewrites, _) = simplify(&env, prog, &entries, &HashSet::new());
+            (out, grafts, rewrites)
+        };
+        let (once, grafts, rewrites) = pass(&prog);
+        assert_eq!((grafts, rewrites), (0, 1));
+        assert_eq!(
+            once.binding("main".into()).unwrap().expr,
+            CoreExpr::app(CoreExpr::Global("h".into()), CoreExpr::int(0))
+        );
+        let (twice, grafts, rewrites) = pass(&once);
+        assert_eq!((grafts, rewrites), (1, 0));
+        let names: Vec<&str> = twice.bindings.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, ["main"]);
+        assert_eq!(twice.bindings[0].expr, CoreExpr::int(0));
+    }
 }

@@ -40,11 +40,11 @@
 //!
 //! The clone bodies then flow through the ordinary pipeline —
 //! dictionary specialisation turns their projections into direct
-//! instance-method calls, inlining and the simplifier clean up, and
+//! instance-method calls, the simplifier inlines and cleans up, and
 //! worker/wrapper unboxes their arguments — so a specialised clone ends
 //! up exactly as fast as a hand-monomorphised function. The originals
-//! are left in place; the inliner and [`usage`](super::usage) drop the
-//! unreachable ones afterwards.
+//! are left in place; the simplifier's walk from the entry points (see
+//! [`usage`](super::usage)) drops the unreachable ones afterwards.
 //!
 //! Dropping a dictionary λ is outcome-exact: a dictionary is a lifted
 //! record whose evaluation builds a constructor of instance-method
@@ -511,7 +511,7 @@ pub fn specialise_functions(
             candidates.insert(b.name, c);
         }
     }
-    // The inliner drops a clone once it has grafted every call: forget
+    // The simplifier drops a clone once it has grafted every call: forget
     // it, so a call site that exposes its tuple again mints the clone
     // afresh (under the same name) instead of redirecting to a name the
     // program no longer binds.
@@ -678,7 +678,7 @@ mod tests {
         check_program(&again).expect("the redirect stays well-typed");
     }
 
-    /// Negative space: once the inliner has dropped a clone, a cache
+    /// Negative space: once the simplifier has dropped a clone, a cache
     /// entry naming it must not redirect a call to a name the program
     /// no longer binds. The clone is minted again, under that name.
     #[test]

@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use levity_core::kind::Kind;
 use levity_core::rep::RepTy;
 use levity_core::symbol::Symbol;
 
@@ -183,57 +182,19 @@ pub fn free_term_vars(e: &CoreExpr) -> Vec<Symbol> {
 
 /// Does `e` mention the global `g` anywhere?
 pub fn mentions_global(e: &CoreExpr, g: Symbol) -> bool {
-    match e {
-        CoreExpr::Global(name) => *name == g,
-        CoreExpr::Var(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => false,
-        CoreExpr::App(f, a) => mentions_global(f, g) || mentions_global(a, g),
-        CoreExpr::TyApp(f, _) | CoreExpr::RepApp(f, _) => mentions_global(f, g),
-        CoreExpr::Lam(_, _, body) | CoreExpr::TyLam(_, _, body) | CoreExpr::RepLam(_, body) => {
-            mentions_global(body, g)
-        }
-        CoreExpr::Let(_, _, _, rhs, body) => mentions_global(rhs, g) || mentions_global(body, g),
-        CoreExpr::Case(scrut, alts) => {
-            mentions_global(scrut, g) || alts.iter().any(|a| mentions_global(a.rhs(), g))
-        }
-        CoreExpr::Con(_, _, fields) => fields.iter().any(|f| mentions_global(f, g)),
-        CoreExpr::Prim(_, args) | CoreExpr::Tuple(args) => {
-            args.iter().any(|a| mentions_global(a, g))
-        }
-    }
+    let mut found = matches!(e, CoreExpr::Global(name) if *name == g);
+    e.for_each_child(|c| found = found || mentions_global(c, g));
+    found
 }
 
 /// All globals mentioned by `e`, in first-occurrence order.
 pub fn globals_of(e: &CoreExpr, out: &mut Vec<Symbol>) {
-    match e {
-        CoreExpr::Global(name) => {
-            if !out.contains(name) {
-                out.push(*name);
-            }
-        }
-        CoreExpr::Var(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => {}
-        CoreExpr::App(f, a) => {
-            globals_of(f, out);
-            globals_of(a, out);
-        }
-        CoreExpr::TyApp(f, _) | CoreExpr::RepApp(f, _) => globals_of(f, out),
-        CoreExpr::Lam(_, _, body) | CoreExpr::TyLam(_, _, body) | CoreExpr::RepLam(_, body) => {
-            globals_of(body, out)
-        }
-        CoreExpr::Let(_, _, _, rhs, body) => {
-            globals_of(rhs, out);
-            globals_of(body, out);
-        }
-        CoreExpr::Case(scrut, alts) => {
-            globals_of(scrut, out);
-            for a in alts {
-                globals_of(a.rhs(), out);
-            }
-        }
-        CoreExpr::Con(_, _, fields) => fields.iter().for_each(|f| globals_of(f, out)),
-        CoreExpr::Prim(_, args) | CoreExpr::Tuple(args) => {
-            args.iter().for_each(|a| globals_of(a, out))
+    if let CoreExpr::Global(name) = e {
+        if !out.contains(name) {
+            out.push(*name);
         }
     }
+    e.for_each_child(|c| globals_of(c, out));
 }
 
 /// Simultaneous, capture-avoiding substitution of expressions for term
@@ -362,140 +323,117 @@ fn rename_binders(
 /// embedded types (binder annotations, type applications, constructor
 /// type arguments, `error` result types).
 pub fn subst_ty_expr(e: &CoreExpr, var: Symbol, payload: &Type) -> CoreExpr {
-    let st = |t: &Type| t.subst_ty(var, payload);
-    match e {
-        CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) => e.clone(),
-        CoreExpr::Error(t, msg) => CoreExpr::Error(st(t), msg.clone()),
-        CoreExpr::App(f, a) => CoreExpr::app(
-            subst_ty_expr(f, var, payload),
-            subst_ty_expr(a, var, payload),
-        ),
-        CoreExpr::TyApp(f, t) => CoreExpr::ty_app(subst_ty_expr(f, var, payload), st(t)),
-        CoreExpr::RepApp(f, r) => CoreExpr::rep_app(subst_ty_expr(f, var, payload), r.clone()),
-        CoreExpr::Lam(x, t, body) => CoreExpr::lam(*x, st(t), subst_ty_expr(body, var, payload)),
-        CoreExpr::TyLam(a, k, body) => {
-            if *a == var {
-                e.clone()
-            } else if payload.free_ty_vars().contains(a) {
-                // The quantifier would capture the payload: rename it.
-                let fresh = freshen(*a);
-                let renamed = subst_ty_expr(body, *a, &Type::Var(fresh));
-                CoreExpr::ty_lam(fresh, k.clone(), subst_ty_expr(&renamed, var, payload))
-            } else {
-                CoreExpr::ty_lam(*a, k.clone(), subst_ty_expr(body, var, payload))
-            }
-        }
-        CoreExpr::RepLam(r, body) => CoreExpr::rep_lam(*r, subst_ty_expr(body, var, payload)),
-        CoreExpr::Let(kind, x, t, rhs, body) => CoreExpr::Let(
-            *kind,
-            *x,
-            st(t),
-            Box::new(subst_ty_expr(rhs, var, payload)),
-            Box::new(subst_ty_expr(body, var, payload)),
-        ),
-        CoreExpr::Case(scrut, alts) => CoreExpr::Case(
-            Box::new(subst_ty_expr(scrut, var, payload)),
-            alts.iter()
-                .map(|alt| map_alt(alt, &|t| st(t), &|e| subst_ty_expr(e, var, payload)))
-                .collect(),
-        ),
-        CoreExpr::Con(con, ty_args, fields) => CoreExpr::Con(
-            Arc::clone(con),
-            ty_args
-                .iter()
-                .map(|a| match a {
-                    TyArg::Ty(t) => TyArg::Ty(st(t)),
-                    TyArg::Rep(r) => TyArg::Rep(r.clone()),
-                })
-                .collect(),
-            fields
-                .iter()
-                .map(|f| subst_ty_expr(f, var, payload))
-                .collect(),
-        ),
-        CoreExpr::Prim(op, args) => CoreExpr::Prim(
-            *op,
-            args.iter()
-                .map(|a| subst_ty_expr(a, var, payload))
-                .collect(),
-        ),
-        CoreExpr::Tuple(args) => CoreExpr::Tuple(
-            args.iter()
-                .map(|a| subst_ty_expr(a, var, payload))
-                .collect(),
-        ),
-    }
+    TySubst::Ty(var, payload).expr(e)
 }
 
 /// Substitutes a representation for a representation variable throughout
 /// an expression's embedded types and kinds.
 pub fn subst_rep_expr(e: &CoreExpr, var: Symbol, payload: &RepTy) -> CoreExpr {
-    let st = |t: &Type| t.subst_rep(var, payload);
-    let sk = |k: &Kind| k.substitute_rep(var, payload);
-    match e {
-        CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) => e.clone(),
-        CoreExpr::Error(t, msg) => CoreExpr::Error(st(t), msg.clone()),
-        CoreExpr::App(f, a) => CoreExpr::app(
-            subst_rep_expr(f, var, payload),
-            subst_rep_expr(a, var, payload),
-        ),
-        CoreExpr::TyApp(f, t) => CoreExpr::ty_app(subst_rep_expr(f, var, payload), st(t)),
-        CoreExpr::RepApp(f, r) => {
-            CoreExpr::rep_app(subst_rep_expr(f, var, payload), r.substitute(var, payload))
+    TySubst::Rep(var, payload).expr(e)
+}
+
+/// One substitution for a type-level variable: a type for a type
+/// variable, or a representation for a rep variable. Each renames the
+/// quantifiers of its own sort that would capture the payload.
+#[derive(Clone, Copy)]
+enum TySubst<'a> {
+    Ty(Symbol, &'a Type),
+    Rep(Symbol, &'a RepTy),
+}
+
+impl TySubst<'_> {
+    fn ty(self, t: &Type) -> Type {
+        match self {
+            TySubst::Ty(var, payload) => t.subst_ty(var, payload),
+            TySubst::Rep(var, payload) => t.subst_rep(var, payload),
         }
-        CoreExpr::Lam(x, t, body) => CoreExpr::lam(*x, st(t), subst_rep_expr(body, var, payload)),
-        CoreExpr::TyLam(a, k, body) => {
-            CoreExpr::ty_lam(*a, sk(k), subst_rep_expr(body, var, payload))
+    }
+
+    fn rep(self, r: &RepTy) -> RepTy {
+        match self {
+            TySubst::Ty(..) => r.clone(),
+            TySubst::Rep(var, payload) => r.substitute(var, payload),
         }
-        CoreExpr::RepLam(r, body) => {
-            if *r == var {
-                e.clone()
-            } else if matches!(payload, RepTy::Var(v) if v == r) {
-                let fresh = freshen(*r);
-                let renamed = subst_rep_expr(body, *r, &RepTy::Var(fresh));
-                CoreExpr::rep_lam(fresh, subst_rep_expr(&renamed, var, payload))
-            } else {
-                CoreExpr::rep_lam(*r, subst_rep_expr(body, var, payload))
+    }
+
+    /// `e`, a quantifier of the substituted sort binding `b` over `body`,
+    /// substituted and rebuilt by `rebuild`: left alone when `b` shadows
+    /// the variable, and with `b` renamed first when the quantifier would
+    /// capture the payload.
+    fn under(
+        self,
+        e: &CoreExpr,
+        b: Symbol,
+        body: &CoreExpr,
+        rebuild: impl FnOnce(Symbol, CoreExpr) -> CoreExpr,
+    ) -> CoreExpr {
+        let (var, captures) = match self {
+            TySubst::Ty(var, payload) => (var, payload.free_ty_vars().contains(&b)),
+            TySubst::Rep(var, payload) => (var, matches!(payload, RepTy::Var(v) if *v == b)),
+        };
+        if b == var {
+            return e.clone();
+        }
+        if !captures {
+            return rebuild(b, self.expr(body));
+        }
+        let fresh = freshen(b);
+        let renamed = match self {
+            TySubst::Ty(..) => subst_ty_expr(body, b, &Type::Var(fresh)),
+            TySubst::Rep(..) => subst_rep_expr(body, b, &RepTy::Var(fresh)),
+        };
+        rebuild(fresh, self.expr(&renamed))
+    }
+
+    fn expr(self, e: &CoreExpr) -> CoreExpr {
+        match e {
+            CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) => e.clone(),
+            CoreExpr::Error(t, msg) => CoreExpr::Error(self.ty(t), msg.clone()),
+            CoreExpr::App(f, a) => CoreExpr::app(self.expr(f), self.expr(a)),
+            CoreExpr::TyApp(f, t) => CoreExpr::ty_app(self.expr(f), self.ty(t)),
+            CoreExpr::RepApp(f, r) => CoreExpr::rep_app(self.expr(f), self.rep(r)),
+            CoreExpr::Lam(x, t, body) => CoreExpr::lam(*x, self.ty(t), self.expr(body)),
+            CoreExpr::TyLam(a, k, body) => match self {
+                TySubst::Ty(..) => {
+                    self.under(e, *a, body, |a, body| CoreExpr::ty_lam(a, k.clone(), body))
+                }
+                TySubst::Rep(var, payload) => {
+                    CoreExpr::ty_lam(*a, k.substitute_rep(var, payload), self.expr(body))
+                }
+            },
+            CoreExpr::RepLam(r, body) => match self {
+                TySubst::Ty(..) => CoreExpr::rep_lam(*r, self.expr(body)),
+                TySubst::Rep(..) => self.under(e, *r, body, CoreExpr::rep_lam),
+            },
+            CoreExpr::Let(kind, x, t, rhs, body) => CoreExpr::Let(
+                *kind,
+                *x,
+                self.ty(t),
+                Box::new(self.expr(rhs)),
+                Box::new(self.expr(body)),
+            ),
+            CoreExpr::Case(scrut, alts) => CoreExpr::Case(
+                Box::new(self.expr(scrut)),
+                alts.iter()
+                    .map(|alt| map_alt(alt, &|t| self.ty(t), &|e| self.expr(e)))
+                    .collect(),
+            ),
+            CoreExpr::Con(con, ty_args, fields) => CoreExpr::Con(
+                Arc::clone(con),
+                ty_args
+                    .iter()
+                    .map(|a| match a {
+                        TyArg::Ty(t) => TyArg::Ty(self.ty(t)),
+                        TyArg::Rep(r) => TyArg::Rep(self.rep(r)),
+                    })
+                    .collect(),
+                fields.iter().map(|f| self.expr(f)).collect(),
+            ),
+            CoreExpr::Prim(op, args) => {
+                CoreExpr::Prim(*op, args.iter().map(|a| self.expr(a)).collect())
             }
+            CoreExpr::Tuple(args) => CoreExpr::Tuple(args.iter().map(|a| self.expr(a)).collect()),
         }
-        CoreExpr::Let(kind, x, t, rhs, body) => CoreExpr::Let(
-            *kind,
-            *x,
-            st(t),
-            Box::new(subst_rep_expr(rhs, var, payload)),
-            Box::new(subst_rep_expr(body, var, payload)),
-        ),
-        CoreExpr::Case(scrut, alts) => CoreExpr::Case(
-            Box::new(subst_rep_expr(scrut, var, payload)),
-            alts.iter()
-                .map(|alt| map_alt(alt, &|t| st(t), &|e| subst_rep_expr(e, var, payload)))
-                .collect(),
-        ),
-        CoreExpr::Con(con, ty_args, fields) => CoreExpr::Con(
-            Arc::clone(con),
-            ty_args
-                .iter()
-                .map(|a| match a {
-                    TyArg::Ty(t) => TyArg::Ty(st(t)),
-                    TyArg::Rep(r) => TyArg::Rep(r.substitute(var, payload)),
-                })
-                .collect(),
-            fields
-                .iter()
-                .map(|f| subst_rep_expr(f, var, payload))
-                .collect(),
-        ),
-        CoreExpr::Prim(op, args) => CoreExpr::Prim(
-            *op,
-            args.iter()
-                .map(|a| subst_rep_expr(a, var, payload))
-                .collect(),
-        ),
-        CoreExpr::Tuple(args) => CoreExpr::Tuple(
-            args.iter()
-                .map(|a| subst_rep_expr(a, var, payload))
-                .collect(),
-        ),
     }
 }
 

@@ -1,10 +1,11 @@
 //! Global usage analysis: one reachability walk over the top-level
-//! call graph, shared by dead-global elimination and the inliner.
+//! call graph, shared by dead-global elimination and the simplifier.
 //!
 //! Function specialisation leaves the constrained originals behind with
 //! no remaining callers, the dictionary pass orphans selectors whose
-//! every projection became a direct instance-method call, the inliner
-//! empties every small callee it grafts into all its callers, and the
+//! every projection became a direct instance-method call, the
+//! simplifier empties every small callee it grafts into all its callers
+//! (and strands a global only a discarded branch mentioned), and the
 //! worker/wrapper split strands wrappers once every call site has
 //! inlined them. Kept, all of them would still be walked by every
 //! pass, lowered, compiled into the environment engine's
@@ -25,14 +26,15 @@
 //!
 //! * [`eliminate_dead_globals`] rewrites nothing (each kept binding
 //!   keeps its `Arc`);
-//! * [`inline`](super::inline::inline) rewrites each reached binding by
-//!   grafting its callees, so a callee whose every call was grafted is
-//!   not reached and is dropped in the same pass (GHC drops a binding
-//!   in the pass that inlines its last use).
+//! * [`simplify`](super::simplify::simplify) rewrites each reached
+//!   binding by grafting its callees and simplifying, so a callee whose
+//!   every call was grafted or discarded is not reached and is dropped
+//!   in the same pass (GHC drops a binding in the pass that inlines its
+//!   last use).
 //!
 //! The visit order is fixed: the entries in program order, then each
 //! rewritten body's callees in [`globals_of`]'s first-occurrence order,
-//! first in, first out — never a hash set's order. The inliner mints
+//! first in, first out — never a hash set's order. The simplifier mints
 //! fresh binder names in visit order, so a fixed order keeps them the
 //! same on every run; with every binding an entry, the order is the
 //! program's own.

@@ -42,12 +42,13 @@
 //!
 //! # Entry points
 //!
-//! At `O2` the optimizer starts and finishes with dead-global
-//! elimination, driven by an explicit entry-point set recorded in
-//! [`Compiled::entry_points`]. The first sweep leaves the passes only
-//! the code the entries reach (of a prelude compilation, usually the
-//! user's module and a handful of prelude bindings); the last drops what
-//! the passes themselves left unreachable. The set is:
+//! At `O2` the optimizer starts with dead-global elimination, driven by
+//! an explicit entry-point set recorded in [`Compiled::entry_points`].
+//! The sweep leaves the passes only the code the entries reach (of a
+//! prelude compilation, usually the user's module and a handful of
+//! prelude bindings); each simplifier pass walks from the same set and
+//! drops what it leaves unreachable, so nothing unreachable survives the
+//! last one. The set is:
 //!
 //! * by default, `main` when the module defines it, otherwise **every**
 //!   top-level binding (so a library-shaped module — the bare prelude,

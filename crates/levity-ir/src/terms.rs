@@ -262,21 +262,37 @@ impl CoreExpr {
 
     /// Number of AST nodes (diagnostics/tests).
     pub fn size(&self) -> usize {
+        let mut n = 1;
+        self.for_each_child(|c| n += c.size());
+        n
+    }
+
+    /// Applies `f` to every direct child expression, left to right: the
+    /// function before its argument, a `let`'s right-hand side before
+    /// its body, a scrutinee before its alternatives' right-hand sides.
+    pub fn for_each_child(&self, mut f: impl FnMut(&CoreExpr)) {
         match self {
-            CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => 1,
-            CoreExpr::App(a, b) => 1 + a.size() + b.size(),
-            CoreExpr::TyApp(a, _) | CoreExpr::RepApp(a, _) => 1 + a.size(),
-            CoreExpr::Lam(_, _, b) | CoreExpr::TyLam(_, _, b) | CoreExpr::RepLam(_, b) => {
-                1 + b.size()
+            CoreExpr::App(a, b) | CoreExpr::Let(_, _, _, a, b) => {
+                f(a);
+                f(b);
             }
-            CoreExpr::Let(_, _, _, a, b) => 1 + a.size() + b.size(),
-            CoreExpr::Case(s, alts) => {
-                1 + s.size() + alts.iter().map(|a| a.rhs().size()).sum::<usize>()
+            CoreExpr::TyApp(a, _)
+            | CoreExpr::RepApp(a, _)
+            | CoreExpr::Lam(_, _, a)
+            | CoreExpr::TyLam(_, _, a)
+            | CoreExpr::RepLam(_, a) => f(a),
+            CoreExpr::Case(scrut, alts) => {
+                f(scrut);
+                for alt in alts {
+                    f(alt.rhs());
+                }
             }
-            CoreExpr::Con(_, _, fields) => 1 + fields.iter().map(CoreExpr::size).sum::<usize>(),
-            CoreExpr::Prim(_, args) | CoreExpr::Tuple(args) => {
-                1 + args.iter().map(CoreExpr::size).sum::<usize>()
+            CoreExpr::Con(_, _, args) | CoreExpr::Prim(_, args) | CoreExpr::Tuple(args) => {
+                for a in args {
+                    f(a);
+                }
             }
+            CoreExpr::Var(_) | CoreExpr::Global(_) | CoreExpr::Lit(_) | CoreExpr::Error(..) => {}
         }
     }
 }

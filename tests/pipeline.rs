@@ -1,13 +1,22 @@
 //! End-to-end pipeline tests: surface source through inference,
 //! dictionary elaboration, levity checks, lowering, and the machine.
 
+mod support;
+
+use std::collections::HashSet;
+
+use levity::compile::opt::usage::eliminate_dead_globals;
 use levity::core::diag::{line_col, ErrorCode};
+use levity::core::symbol::Symbol;
 use levity::driver::{
     compile_source, compile_with_prelude, compile_with_prelude_opt, Compiled, OptLevel,
     PipelineError,
 };
 use levity::m::machine::RunOutcome;
-use levity::serve::corpus::chain_module;
+use levity::serve::corpus::{chain_module, MIXED_CORPUS};
+
+use support::golden::GOLDEN;
+use support::surface::CORPUS;
 
 const FUEL: u64 = 50_000_000;
 
@@ -129,11 +138,12 @@ fn unreachable_bindings_are_pruned_before_the_optimizer_runs() {
 #[test]
 fn chain_modules_collapse_in_linear_optimizer_work() {
     // A scaling pin on work, not time: doubling a chain module may at
-    // most 2.5× the inliner's and the simplifier's busiest round, and
-    // the bindings the per-pass check re-checks. The inliner collapses
-    // the chain into `main` once and drops each emptied definition;
-    // grafting every callee into every definition and keeping them all
-    // grows the first two counts ~3.9× per doubling.
+    // most 2.5× the simplifier's busiest round of grafts and of
+    // rewrites, and the bindings the per-pass check re-checks. The
+    // simplifier collapses the chain into `main` once and drops each
+    // emptied definition; grafting every callee into every definition
+    // and keeping them all grows the first two counts ~3.9× per
+    // doubling.
     //
     // The collapsed chain is one 64-deep body, and the optimizer's
     // recursive walks over it need more than a test thread's 2 MiB
@@ -176,13 +186,92 @@ fn chain_modules_collapse_in_linear_optimizer_work() {
 fn a_constant_module_is_typechecked_once_across_the_optimizer() {
     // The optimizer checks its input whole, then after each pass
     // re-checks only the bindings the pass changed. No pass changes
-    // `main = 1#`, so of its ~8 checks only the first checks anything.
+    // `main = 1#`, so of its 5 checks only the first checks anything.
     let compiled = compile_with_prelude("main :: Int#\nmain = 1#\n").unwrap();
     assert_eq!(
         compiled.opt_report.rechecked, 1,
         "{:?}",
         compiled.opt_report
     );
+}
+
+#[test]
+fn a_constant_module_runs_one_check_per_pass() {
+    // spec_fun, specialise, one simplifier pass, worker/wrapper and one
+    // more simplifier pass: 5 checks, each followed by the lint in a
+    // debug build. The simplifier grafts in its own walk, so a round is
+    // one pass and one check, and no sweep follows the passes. Release
+    // builds lint once, at the end.
+    let report = compile_with_prelude("main :: Int#\nmain = 1#\n")
+        .unwrap()
+        .opt_report;
+    let lint_runs = if cfg!(debug_assertions) { 5 } else { 1 };
+    assert_eq!(report.lint_runs, lint_runs, "{report:?}");
+}
+
+#[test]
+fn worker_wrapper_splits_nothing_the_entries_cannot_reach() {
+    // `f` is recursive and strict in its boxed argument, so
+    // worker/wrapper would split it. The first simplifier pass turns
+    // `main` into `case h 0# of …`; the second grafts `h`, selects the
+    // `0#` branch, and drops `f` and `h`, which `main` no longer
+    // reaches, before the split runs.
+    let compiled = compile_with_prelude(
+        "f :: Int -> Int\n\
+         f x = case x of { I# k -> case k of { 0# -> x; _ -> f (I# (k -# 1#)) } }\n\
+         h :: Int# -> Int#\n\
+         h x = x\n\
+         main :: Int\n\
+         main = let k = h in case k 0# of { 0# -> I# 5#; _ -> f (I# 3#) }\n",
+    )
+    .unwrap();
+    let report = compiled.opt_report;
+    assert_eq!(report.workers, 0, "{report:?}");
+    let names: Vec<&str> = compiled
+        .program
+        .bindings
+        .iter()
+        .map(|b| b.name.as_str())
+        .collect();
+    assert_eq!(names, ["main"]);
+    let (out, _) = compiled.run("main", FUEL).unwrap();
+    assert_eq!(out.value().and_then(|v| v.as_boxed_int()), Some(5));
+}
+
+#[test]
+fn the_optimised_program_is_closed_under_reachability() {
+    // Each simplifier pass drops what its simplified bodies leave
+    // unreached, and a simplifier pass ends the optimizer, so a
+    // dead-global sweep from the entry points after it drops nothing.
+    // Debug builds need more than a test thread's 2 MiB stack for the
+    // longer chains (see `chain_modules_collapse_in_linear_optimizer_work`).
+    let mut sources: Vec<(String, String)> = GOLDEN
+        .iter()
+        .chain(CORPUS)
+        .map(|(name, src)| (name.to_string(), src.to_string()))
+        .collect();
+    sources.extend(
+        MIXED_CORPUS
+            .iter()
+            .map(|p| (p.name.to_owned(), p.source.to_owned())),
+    );
+    sources.extend((2..=40).map(|n| (format!("chain/{n}"), chain_module(n))));
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(move || {
+            for (name, src) in &sources {
+                let compiled = compile_with_prelude(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let entries: HashSet<Symbol> = compiled.entry_points.iter().copied().collect();
+                let (_, dropped) = eliminate_dead_globals(&compiled.program, &entries);
+                assert_eq!(
+                    dropped, 0,
+                    "{name}: a sweep after the optimizer dropped bindings"
+                );
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 #[test]
