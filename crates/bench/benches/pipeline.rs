@@ -19,9 +19,14 @@
 //! `pipeline/compile_with_prelude` compiles the same six modules through
 //! the driver, end to end. `pipeline/plus_chain_500` and
 //! `pipeline/plus_chain_1000` each compile one module through the
-//! driver, `main = 1# +# 1# +# … +# 1#` with 500 or 1000 terms: a term
-//! nested that deep shows any stage whose cost grows faster than its
-//! input (linear stages take about twice as long for twice the terms).
+//! driver, `main = 1# +# 1# +# … +# 1#` with 500 or 1000 terms, and
+//! `pipeline/nested_app_500` and `pipeline/nested_app_1000` compile
+//! `main = g (g (… (g 1#)))` with as many calls of a recursive `g`: a
+//! term nested that deep shows any stage whose cost grows faster than
+//! its input (linear stages take about twice as long for twice the
+//! terms). `pipeline/class_chain_64` and `pipeline/chain_module_256`
+//! time `optimise_program` alone on `class_chain_module(64)` and
+//! `chain_module(256)`, the optimizer's two chain workloads.
 
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -40,7 +45,7 @@ use levity_ir::typecheck::TypeEnv;
 use levity_m::bytecode::BcProgram;
 use levity_m::compile::CodeProgram;
 use levity_m::machine::Globals;
-use levity_serve::corpus::{chain_module, MIXED_CORPUS};
+use levity_serve::corpus::{chain_module, class_chain_module, MIXED_CORPUS};
 use levity_surface::ast::Module;
 
 /// One module and every stage's output on it.
@@ -108,11 +113,29 @@ fn bench_pipeline(c: &mut Criterion) {
     row(g, &all, "compile_with_prelude", |s| {
         compile_with_prelude(&s.source)
     });
-    for terms in [500, 1000] {
-        let source = plus_chain(terms);
+    let deep = [500, 1000].into_iter().flat_map(|n| {
+        [
+            ("plus_chain", n, plus_chain(n)),
+            ("nested_app", n, nested_app(n)),
+        ]
+    });
+    for (name, n, source) in deep {
         compile_with_prelude(&source).unwrap();
-        group.bench_function(&format!("plus_chain_{terms}"), |b| {
+        group.bench_function(&format!("{name}_{n}"), |b| {
             b.iter(|| compile_with_prelude(&source))
+        });
+    }
+    for (name, source) in [
+        ("class_chain_64", class_chain_module(64)),
+        ("chain_module_256", chain_module(256)),
+    ] {
+        let (elaborated, _) = seed.front_end(&source).unwrap();
+        let fresh_mark = levity_ir::fresh_names_mark();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                levity_ir::restart_fresh_names_at(fresh_mark);
+                optimise_program(&elaborated.program, Some(&entries))
+            })
         });
     }
     group.finish();
@@ -122,6 +145,19 @@ fn bench_pipeline(c: &mut Criterion) {
 /// the left, so the body is a primop application `terms - 1` deep.
 fn plus_chain(terms: usize) -> String {
     format!("main :: Int#\nmain = {}\n", vec!["1#"; terms].join(" +# "))
+}
+
+/// `main = g (g (… (g 1#)))` with `calls` calls of a recursive
+/// `g :: Int# -> Int#`, which the inliner keeps: every argument is an
+/// application `calls` deep at the bottom.
+fn nested_app(calls: usize) -> String {
+    format!(
+        "g :: Int# -> Int#\n\
+         g x = case x <# 0# of {{ 1# -> g (x +# 1#); _ -> x +# 1# }}\n\
+         main :: Int#\nmain = {}1#{}\n",
+        "g (".repeat(calls),
+        ")".repeat(calls)
+    )
 }
 
 /// One row: `stage` over every module, per iteration.

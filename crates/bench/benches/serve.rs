@@ -118,16 +118,19 @@ fn report_cold(name: &str, samples: &[(f64, usize)]) -> f64 {
 
 /// Cold-compile latency at steady state: a fresh service's cache is
 /// first filled to its default capacity with distinct programs, so each
-/// timed request also evicts an entry.
+/// timed request also evicts an entry. The fill's lone calls need not
+/// reach every worker, so untimed cold requests then do, as for
+/// `serve/cold_compile` (a worker's first compile is slower).
 fn measure_cold_full(k: usize) -> Vec<(f64, usize)> {
     let config = ServeConfig::default();
-    let capacity = config.cache_capacity;
+    let (capacity, workers) = (config.cache_capacity, config.workers);
     let service = EvalService::start(config);
     for n in 0..capacity {
         let src = format!("main :: Int#\nmain = {n}# +# 2#\n");
         let resp = service.call(EvalRequest::source(src)).expect("fill call");
         assert!(!resp.cache_hit, "fill requests are distinct");
     }
+    warm_workers(&service, workers);
     let samples = measure_cold(&service, k);
     service.shutdown();
     samples

@@ -345,11 +345,11 @@ impl<'a> Lowerer<'a> {
                 out
             }
             CoreExpr::Lam(x, ty, body) => self.lower_lam(*x, ty, body),
-            CoreExpr::App(f, a) => {
+            CoreExpr::App(..) => {
                 if let Some(jump) = self.try_lower_jump(e)? {
                     return Ok(jump);
                 }
-                self.lower_app(f, a)
+                self.lower_call(e)
             }
             CoreExpr::Let(kind, x, ty, rhs, body) => self.lower_let(*kind, *x, ty, rhs, body),
             CoreExpr::Case(scrut, alts) => self.lower_case(scrut, alts),
@@ -431,12 +431,46 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Lowers an application, choosing lazy vs strict binding by the
-    /// argument's kind (C_APPLAZY / C_APPINT generalized).
-    fn lower_app(&mut self, f: &CoreExpr, a: &CoreExpr) -> Result<Arc<MExpr>, LowerError> {
-        let t1 = self.lower(f)?;
-        let arg_ty = self.type_of(a)?;
-        let rep = self.rep_of(&arg_ty)?;
+    /// Lowers an application spine: the head, then each term argument
+    /// in application order. The head is typed once, and each
+    /// argument's type is read off the head's type as its `∀`s are
+    /// instantiated and its arrows peeled, so a nested argument is not
+    /// typed again at every level.
+    #[inline(never)]
+    fn lower_call(&mut self, e: &CoreExpr) -> Result<Arc<MExpr>, LowerError> {
+        let mut spine = Vec::new();
+        let mut head = e;
+        while let CoreExpr::App(f, _) | CoreExpr::TyApp(f, _) | CoreExpr::RepApp(f, _) = head {
+            spine.push(head);
+            head = f;
+        }
+        let mut ty = self.type_of(head)?;
+        let mut call = self.lower(head)?;
+        for node in spine.into_iter().rev() {
+            ty = match (node, ty) {
+                (CoreExpr::TyApp(_, t), Type::ForallTy(v, _, body)) => body.subst_ty(v, t),
+                (CoreExpr::RepApp(_, r), Type::ForallRep(v, body)) => body.subst_rep(v, r),
+                (CoreExpr::App(_, a), Type::Fun(dom, cod)) => {
+                    call = self.lower_arg(call, a, &dom)?;
+                    *cod
+                }
+                (CoreExpr::App(..), other) => return Err(CoreError::NotAFunction(other).into()),
+                (_, other) => return Err(CoreError::NotAForall(other).into()),
+            };
+        }
+        Ok(call)
+    }
+
+    /// Applies the lowered `t1` to the argument `a` of type `arg_ty`,
+    /// choosing lazy vs strict binding by the argument's kind
+    /// (C_APPLAZY / C_APPINT generalized).
+    fn lower_arg(
+        &mut self,
+        t1: Arc<MExpr>,
+        a: &CoreExpr,
+        arg_ty: &Type,
+    ) -> Result<Arc<MExpr>, LowerError> {
+        let rep = self.rep_of(arg_ty)?;
         match rep {
             Rep::Tuple(_) => {
                 // Unarised call: unpack the tuple and pass each register.
@@ -462,7 +496,7 @@ impl<'a> Lowerer<'a> {
                 "unboxed sum argument `{arg_ty}`"
             ))),
             scalar => {
-                let class = self.scalar_class(&scalar, &arg_ty)?;
+                let class = self.scalar_class(&scalar, arg_ty)?;
                 self.bind_scalar(a, class, |_, atom| Ok(MExpr::app(t1, atom)))
             }
         }
@@ -506,6 +540,7 @@ impl<'a> Lowerer<'a> {
     /// Returns `None` (falling back to an ordinary `let`) when a
     /// parameter's representation has no stable register split (empty
     /// tuples, sums).
+    #[inline(never)]
     fn lower_join(
         &mut self,
         x: Symbol,

@@ -28,7 +28,11 @@
 //!    multi-alternative case-of-case binds its outer alternatives as
 //!    **join points** ([`join`]) so continuations flow inward without
 //!    duplication (iterated to a bounded fixpoint, one pass and one
-//!    check a round; a pass that changed no binding ends the loop). The
+//!    check a round; a pass that changed no binding ends the loop).
+//!    Each of a body's rounds is one walk linear in the body: it counts
+//!    occurrences as it emits them, substitutes through an environment,
+//!    carries a `let`'s strict pure-total floats out of its right-hand
+//!    side in one step, and hands back untouched subtrees unrebuilt. The
 //!    pass rewrites only what the entry points reach *after* its
 //!    rewrites ([`usage::rewrite_reachable`]), so it drops what it
 //!    empties in the same pass: a chain of definitions collapses into
@@ -146,6 +150,11 @@ pub struct OptReport {
     pub simplified: usize,
     /// Join points bound by the case-of-case rule (per-round maximum).
     pub join_points: usize,
+    /// Nodes the simplifier's walks visited, summed over every pass:
+    /// its own walk (which counts occurrences and applies its
+    /// substitution as it goes), the walks that count discarded output
+    /// back out, and the known-constructor replacement's.
+    pub simplify_nodes: usize,
     /// Worker/wrapper splits performed.
     pub workers: usize,
     /// Workers whose *result* was unboxed to `(# … #)` (constructed
@@ -292,10 +301,7 @@ fn simplify_rounds(
                 &every_binding
             }
         };
-        let (next, grafts, rewrites, joins) = simplify::simplify(&env, &cur, entries, force_inline);
-        fold_round(&mut report.inlined, grafts);
-        fold_round(&mut report.simplified, rewrites);
-        fold_round(&mut report.join_points, joins);
+        let next = simplify::simplify(&env, &cur, entries, force_inline, report);
         report.dead_globals += cur.bindings.len() - next.bindings.len();
         let unchanged = same_arcs(&cur.bindings, &next.bindings);
         cur = next;

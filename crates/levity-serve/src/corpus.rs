@@ -141,6 +141,25 @@ pub fn chain_module(levels: u64) -> String {
     source
 }
 
+/// A class chain of `levels` definitions (at least one), every operator
+/// a `Num` method at `Int#`: `c0 x = x + 1#`,
+/// `c_j x = c_{j-1} (x - 3#) + 4#`, and `main = c_{levels-1} 5#`, which
+/// is `levels + 5`. Each level's call is an argument of a method, so
+/// once the chain collapses into `main` every level's strict arithmetic
+/// floats out of a `let`'s right-hand side: the simplifier's let-float
+/// workload.
+pub fn class_chain_module(levels: u64) -> String {
+    let mut source = String::from("c0 :: Int# -> Int#\nc0 x = x + 1#\n");
+    for j in 1..levels {
+        source.push_str(&format!(
+            "c{j} :: Int# -> Int#\nc{j} x = c{} (x - 3#) + 4#\n",
+            j - 1
+        ));
+    }
+    source.push_str(&format!("main :: Int#\nmain = c{} 5#\n", levels - 1));
+    source
+}
+
 /// Extracts the integer from an outcome, whether `main :: Int#`
 /// returned it raw or `main :: Int` returned it boxed.
 pub fn expected_int(outcome: &RunOutcome) -> Option<i64> {

@@ -6,6 +6,7 @@ mod support;
 use std::collections::HashSet;
 
 use levity::compile::opt::usage::eliminate_dead_globals;
+use levity::compile::opt::OptReport;
 use levity::core::diag::{line_col, ErrorCode};
 use levity::core::symbol::Symbol;
 use levity::driver::{
@@ -13,7 +14,7 @@ use levity::driver::{
     PipelineError,
 };
 use levity::m::machine::RunOutcome;
-use levity::serve::corpus::{chain_module, MIXED_CORPUS};
+use levity::serve::corpus::{chain_module, class_chain_module, MIXED_CORPUS};
 
 use support::golden::GOLDEN;
 use support::surface::CORPUS;
@@ -135,23 +136,15 @@ fn unreachable_bindings_are_pruned_before_the_optimizer_runs() {
     );
 }
 
-#[test]
-fn chain_modules_collapse_in_linear_optimizer_work() {
-    // A scaling pin on work, not time: doubling a chain module may at
-    // most 2.5× the simplifier's busiest round of grafts and of
-    // rewrites, and the bindings the per-pass check re-checks. The
-    // simplifier collapses the chain into `main` once and drops each
-    // emptied definition; grafting every callee into every definition
-    // and keeping them all grows the first two counts ~3.9× per
-    // doubling.
-    //
-    // The collapsed chain is one 64-deep body, and the optimizer's
-    // recursive walks over it need more than a test thread's 2 MiB
-    // stack in a debug build (from 48 levels on; nesting depth is an
-    // open ROADMAP item). This pin counts work, so it gives the
-    // compile room.
-    let compile_and_run = |levels: u64| {
-        let source = chain_module(levels);
+/// The optimizer's reports on `module(32)` and `module(64)`, each
+/// checked to run to the same value at O2 and O0. The collapsed chain is
+/// one 64-deep body, and the optimizer's recursive walks over it need
+/// more than a test thread's 2 MiB stack in a debug build (from 48
+/// levels on; nesting depth is an open ROADMAP item). The scaling pins
+/// count work, so they give the compile room.
+fn reports_at_32_and_64(module: fn(u64) -> String) -> (OptReport, OptReport) {
+    let compile_and_run = move |levels: u64| {
+        let source = module(levels);
         let result = move |level| {
             let compiled = compile_with_prelude_opt(&source, level).unwrap();
             let (out, _) = compiled.run("main", FUEL).unwrap();
@@ -160,26 +153,93 @@ fn chain_modules_collapse_in_linear_optimizer_work() {
         let ((o2, report), (o0, _)) = (result(OptLevel::O2), result(OptLevel::O0));
         assert!(
             o2.is_some() && o2 == o0,
-            "chain/{levels}: O2 {o2:?}, O0 {o0:?}"
+            "{levels} levels: O2 {o2:?}, O0 {o0:?}"
         );
         report
     };
-    let (at32, at64) = std::thread::Builder::new()
+    std::thread::Builder::new()
         .stack_size(8 << 20)
         .spawn(move || (compile_and_run(32), compile_and_run(64)))
         .unwrap()
         .join()
-        .unwrap();
-    for (what, small, large) in [
-        ("inlined", at32.inlined, at64.inlined),
-        ("simplified", at32.simplified, at64.simplified),
-        ("rechecked", at32.rechecked, at64.rechecked),
-    ] {
+        .unwrap()
+}
+
+/// Asserts that no counter grew more than 2.5x from 32 to 64 levels.
+fn assert_linear(counters: &[(&str, usize, usize)]) {
+    for &(what, small, large) in counters {
         assert!(
             2 * large <= 5 * small,
             "`{what}` grew {small} -> {large} (more than 2.5x) from 32 to 64 levels"
         );
     }
+}
+
+#[test]
+fn chain_modules_collapse_in_linear_optimizer_work() {
+    // A scaling pin on work, not time: doubling a chain module may at
+    // most 2.5× the simplifier's busiest round of grafts and of
+    // rewrites, the nodes its walks visit, and the bindings the
+    // per-pass check re-checks. The simplifier collapses the chain into
+    // `main` once and drops each emptied definition; grafting every
+    // callee into every definition and keeping them all grows the first
+    // two counts ~3.9× per doubling, and counting each `let`'s uses by
+    // walking its body, or substituting into a walked body, grows the
+    // nodes visited ~5.3×.
+    let (at32, at64) = reports_at_32_and_64(chain_module);
+    assert_linear(&[
+        ("inlined", at32.inlined, at64.inlined),
+        ("simplified", at32.simplified, at64.simplified),
+        ("simplify_nodes", at32.simplify_nodes, at64.simplify_nodes),
+        ("rechecked", at32.rechecked, at64.rechecked),
+    ]);
+}
+
+#[test]
+fn class_chains_float_in_linear_simplifier_work() {
+    // Every level of a class chain floats its strict arithmetic out of
+    // a `let`'s right-hand side. Carried floats move a nest of such
+    // lets out in one step, so doubling the chain may at most 2.5× the
+    // simplifier's rewrites and the nodes its walks visit; one float
+    // per nesting level makes (n-1)² rewrites (4.1× per doubling), and
+    // re-walking the floated body after each grows the nodes ~15×.
+    let (at32, at64) = reports_at_32_and_64(class_chain_module);
+    assert_linear(&[
+        ("simplified", at32.simplified, at64.simplified),
+        ("simplify_nodes", at32.simplify_nodes, at64.simplify_nodes),
+    ]);
+}
+
+#[test]
+fn a_nested_application_chain_runs_the_same_at_o2_and_o0() {
+    // `main = g (g (… (g 1#)))` with 1000 calls of a recursive `g`,
+    // which the inliner keeps. Lowering types each application's head
+    // once and reads the argument's type off it; typing every argument
+    // subtree again at each level made this quadratic. Parsing and the
+    // recursive walks need a bigger stack than a test thread's for a
+    // term this deep.
+    let calls = 1000;
+    let source = format!(
+        "g :: Int# -> Int#\n\
+         g x = case x <# 0# of {{ 1# -> g (x +# 1#); _ -> x +# 1# }}\n\
+         main :: Int#\n\
+         main = {}1#{}\n",
+        "g (".repeat(calls),
+        ")".repeat(calls)
+    );
+    let values = std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(move || {
+            [OptLevel::O2, OptLevel::O0].map(|level| {
+                let compiled = compile_with_prelude_opt(&source, level).unwrap();
+                let (out, _) = compiled.run("main", FUEL).unwrap();
+                out.value().and_then(|v| v.as_int())
+            })
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(values, [Some(1 + calls as i64); 2]);
 }
 
 #[test]
